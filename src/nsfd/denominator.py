@@ -13,10 +13,16 @@ Several of the denominators printed in the source material satisfy the
 negated condition d2phi/dh2(0, y) = -(f' - 2*beta*f_minus) instead; those
 variants are kept available (they are what the errata report measures)
 but every scheme labeled "derived" uses the construction above.
+
+``phi`` and the rate functions of ``lambda_from_scheme`` take a float path
+when the step size and the state are Python floats, and stay vectorised
+otherwise; both paths evaluate the same expressions, so they agree bit for
+bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -44,13 +50,15 @@ def phim(x):
     truncated series below ``SERIES_CUTOFF`` and through expm1 elsewhere to
     avoid cancellation; saturates at ``ARG_FLOOR`` to stay finite.
     """
-    if np.ndim(x) == 0:
+    if isinstance(x, float) or np.ndim(x) == 0:
         x = float(x)
         if abs(x) < SERIES_CUTOFF:
             return 1.0 - x / 2.0 + x * x / 6.0 - x * x * x / 24.0
         if x < ARG_FLOOR:
             x = ARG_FLOOR
-        return -np.expm1(-x) / x
+        # np.expm1, not math.expm1: the two differ in the last bit for some
+        # arguments, and the array branch below uses numpy's
+        return -float(np.expm1(-x)) / x
     arr = np.asarray(x, dtype=float)
     clipped = np.maximum(arr, ARG_FLOOR)
     small = np.abs(arr) < SERIES_CUTOFF
@@ -88,13 +96,35 @@ class DenominatorSpec:
             raise ValueError(f"unknown denominator kind {self.kind!r}")
 
 
+def _as_float_array(v) -> np.ndarray:
+    return np.asarray(v, dtype=float)
+
+
+def is_float_step(y, h) -> bool:
+    """True when a scalar step at state ``y`` with step size ``h`` takes the
+    float path: both are Python floats (numpy float64 scalars included)."""
+    return isinstance(y, float) and isinstance(h, float)
+
+
+def check_step(h) -> None:
+    """Raise NonPositiveStep unless every step size in ``h`` is finite and > 0."""
+    if isinstance(h, float):
+        ok = 0.0 < h < math.inf
+    else:
+        hs = np.asarray(h, dtype=float)
+        # min/max propagate nan, so any nan fails; no lanes is vacuously fine
+        ok = hs.size == 0 or bool(hs.min() > 0.0 and hs.max() < np.inf)
+    if not ok:
+        raise NonPositiveStep(f"h = {h!r} must be finite and > 0")
+
+
 def lambda_from_scheme(problem: ScalarProblem, rep: Representation, beta: float) -> Callable:
-    """The rate function lam(y) = -f'(y) + 2*beta*f_minus(y)."""
+    """The rate function lam(y) = -f'(y) + 2*beta*f_minus(y); a Python float
+    for a float state."""
 
     def lam(y):
-        return -np.asarray(problem.df(y), dtype=float) + 2.0 * beta * np.asarray(
-            rep.f_minus(y), dtype=float
-        )
+        values = float if isinstance(y, float) else _as_float_array
+        return -values(problem.df(y)) + 2.0 * beta * values(rep.f_minus(y))
 
     return lam
 
@@ -119,14 +149,18 @@ def phi(spec: DenominatorSpec, h, y):
 
     ``h`` may be an array broadcastable against ``y`` (used by batched
     property audits where every trajectory carries its own step size).
+    Raises NonPositiveStep unless every h is finite and > 0. When ``h`` and
+    ``y`` are Python floats the eq17 and constant-rate kinds return a Python
+    float, bit-identical to the array result at that state.
     """
-    if np.any(np.asarray(h) <= 0.0):
-        raise NonPositiveStep(f"h = {h!r} must be > 0")
+    check_step(h)
+    scalar = is_float_step(y, h)
     if spec.kind == "eq17":
-        return h * phim(h * np.asarray(spec.lambda_fn(y), dtype=float))
+        values = float if scalar else _as_float_array
+        return h * phim(h * values(spec.lambda_fn(y)))
     if spec.kind == "constant_rate":
         val = h * phim(h * spec.rate)
-        if np.ndim(val) == 0 and np.ndim(y) != 0:
+        if not scalar and np.ndim(val) == 0 and np.ndim(y) != 0:
             return np.full(np.shape(y), val)
         return val
     return spec.phi_fn(h, y)

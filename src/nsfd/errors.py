@@ -22,7 +22,7 @@ class GNotInClass(NsfdError):
 
 
 class NonPositiveStep(NsfdError):
-    """Step size h must be strictly positive."""
+    """Step size h must be finite and strictly positive."""
 
 
 class NegativeState(NsfdError):

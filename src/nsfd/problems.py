@@ -83,7 +83,10 @@ def _monod(mu: float = MONOD_MU) -> ScalarProblem:
     return with_equilibria(register_problem(ScalarProblem(
         name="monod",
         f=lambda y: ((mu - 1.0) * y - (mu + 1.0) * y * y) / (1.0 + y),
-        df=lambda y: ((mu - 1.0) - 2.0 * (mu + 1.0) * y - (mu + 1.0) * y * y) / (1.0 + y) ** 2,
+        # a product, not ** 2: the float step path hands df Python floats,
+        # whose ** rounds differently from numpy's square
+        df=lambda y: (((mu - 1.0) - 2.0 * (mu + 1.0) * y - (mu + 1.0) * y * y)
+                      / ((1.0 + y) * (1.0 + y))),
         domain_hint=(0.0, 10.0),
     )))
 
@@ -101,7 +104,10 @@ def _powerlaw(a: float = 1.0, b: float = 1.0, m: int = 4) -> ScalarProblem:
     return with_equilibria(register_problem(ScalarProblem(
         name="powerlaw",
         f=lambda y: a * y - b * y**m,
-        df=lambda y: a - b * m * y ** (m - 1),
+        # np.power, as in the array path: the float step path hands df Python
+        # floats, whose ** rounds differently. f keeps **: the weighted
+        # scheme only tests it for zero, and Euler/RK2 runs use it as is.
+        df=lambda y: a - b * m * np.power(y, m - 1),
         domain_hint=(0.0, 10.0),
         exact_solution=exact,
     )))

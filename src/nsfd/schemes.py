@@ -15,7 +15,15 @@ positivity-preserving logistic scheme it is measured against, and the
 first-order nonstandard schemes for the cubic, Monod and sine equations.
 
 All step updates accept scalar or array states, so property audits can run
-batched.
+batched. A state and step size that arrive as Python floats take a float
+path that skips numpy's per-call overhead; arrays stay batched. Both paths
+evaluate one shared formula per scheme and agree bit for bit: where float
+arithmetic raises (x/0, overflow in ``**``) and numpy returns inf or nan
+instead, the step reruns on the array path. On the float path the
+right-hand-side callables receive Python floats, so they must compute the
+same value for a float as for a one-element array: arithmetic and numpy
+ufuncs do, while Python's ``**`` on floats rounds differently from
+``np.power`` (write ``y * y`` or ``np.power(y, m)``).
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .denominator import DenominatorSpec, phi, phim
+from .denominator import DenominatorSpec, check_step, is_float_step, phi, phim
 from .errors import (
     NegativeState,
     OracleSelfCheckFailed,
@@ -51,6 +59,17 @@ class StepMap:
     order_claimed: Union[int, str] = 1  # 1 | 2 | "exact"
 
 
+def _check_nonnegative(y_n, scheme: str) -> None:
+    negative = y_n < 0.0 if isinstance(y_n, float) else np.any(np.asarray(y_n, dtype=float) < 0.0)
+    if negative:
+        raise NegativeState(f"{scheme} needs y_n >= 0, got min {float(np.min(y_n)):.6g}")
+
+
+def weighted_update(y, ph, fp, fm, alpha: float, beta: float):
+    """y1 = (y + ph*fp + ph*alpha*y*fm) / (1 - ph*beta*fm), on floats or arrays."""
+    return (y + ph * fp + ph * (alpha * y * fm)) / (1.0 - ph * beta * fm)
+
+
 def nsfd_step(
     problem: ScalarProblem,
     rep: Representation,
@@ -59,18 +78,27 @@ def nsfd_step(
     y_n,
     h: float,
 ):
-    """One step of the positive nonstandard scheme. Requires y_n >= 0."""
+    """One step of the positive nonstandard scheme. Requires y_n >= 0 and a
+    finite h > 0; states with f(y_n) = 0 are returned exactly."""
+    _check_nonnegative(y_n, "nsfd_step")
+    if is_float_step(y_n, h):
+        y = float(y_n)
+        try:
+            # phi first, so that a bad h raises at an equilibrium too
+            ph = float(phi(spec, float(h), y))
+            if float(problem.f(y)) == 0.0:
+                return y
+            return weighted_update(y, ph, float(rep.f_plus(y)), float(rep.f_minus(y)),
+                                   config.alpha, config.beta)
+        except (OverflowError, ZeroDivisionError):
+            pass  # numpy returns inf/nan here: rerun on the array path
     y = np.asarray(y_n, dtype=float)
-    if np.any(y < 0.0):
-        raise NegativeState(f"nsfd_step needs y_n >= 0, got min {float(np.min(y)):.6g}")
     fy = np.asarray(problem.f(y), dtype=float)
     ph = np.asarray(phi(spec, h, y), dtype=float)
     fp = np.asarray(rep.f_plus(y), dtype=float)
     fm = np.asarray(rep.f_minus(y), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        num = y + ph * fp + ph * (config.alpha * y * fm)
-        den = 1.0 - ph * config.beta * fm
-        out = np.where(fy == 0.0, y, num / den)
+        out = np.where(fy == 0.0, y, weighted_update(y, ph, fp, fm, config.alpha, config.beta))
     return float(out) if np.ndim(y_n) == 0 else out
 
 
@@ -108,17 +136,46 @@ def rk2_map(problem: ScalarProblem) -> StepMap:
     return StepMap(label="rk2", update=lambda y, h: rk2_step(problem, y, h), order_claimed=2)
 
 
+def _baseline_update(update: Callable, y_n, ph):
+    """``update(y, ph)`` on Python floats when ``y_n`` and ``ph`` are floats,
+    on a float array otherwise (a float result for a 0-d state). Float inputs
+    whose arithmetic raises rerun on the array path, which returns numpy's
+    inf/nan instead."""
+    if is_float_step(y_n, ph):
+        try:
+            return float(update(float(y_n), float(ph)))
+        except (OverflowError, ZeroDivisionError):
+            pass
+    out = update(np.asarray(y_n, dtype=float), ph)
+    return float(out) if np.ndim(y_n) == 0 else out
+
+
 def wood_kojouharov_step(y_n, h: float):
     """Branching positive scheme for the logistic equation, phi = 1 - e^{-h}.
 
     The branch follows the sign of f(y) = 2y - y^2; both branches keep
     nonnegative states nonnegative.
     """
+    check_step(h)
+
+    def grow(y, ph, fy):
+        return y + ph * fy
+
+    def decay(y, ph, fy):
+        return y * y / (y - ph * fy)
+
+    if is_float_step(y_n, h):
+        y, ph = float(y_n), -float(np.expm1(-h))
+        fy = 2.0 * y - y * y
+        try:
+            return grow(y, ph, fy) if fy >= 0.0 else decay(y, ph, fy)
+        except ZeroDivisionError:
+            pass  # numpy returns inf/nan here: rerun on the array path
     y = np.asarray(y_n, dtype=float)
     ph = -np.expm1(-h)
     fy = 2.0 * y - y * y
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(fy >= 0.0, y + ph * fy, y * y / (y - ph * fy))
+        out = np.where(fy >= 0.0, grow(y, ph, fy), decay(y, ph, fy))
     return float(out) if np.ndim(y_n) == 0 else out
 
 
@@ -129,10 +186,11 @@ def wood_map() -> StepMap:
 def mickens_cubic_step(y_n, h: float):
     """First-order nonstandard scheme for y' = y(1 - y^2) with maximum
     symmetry in the cubic term; phi = (1 - e^{-2h})/2."""
-    y = np.asarray(y_n, dtype=float)
-    ph = 0.5 * (-np.expm1(-2.0 * h))
-    out = y * ((2.0 + ph) + ph * y * y) / ((2.0 - ph) + 3.0 * ph * y * y)
-    return float(out) if np.ndim(y_n) == 0 else out
+    check_step(h)
+    return _baseline_update(
+        lambda y, ph: y * ((2.0 + ph) + ph * y * y) / ((2.0 - ph) + 3.0 * ph * y * y),
+        y_n, 0.5 * (-np.expm1(-2.0 * h)),
+    )
 
 
 def mickens_monod_step(y_n, h: float, mu: float):
@@ -140,21 +198,21 @@ def mickens_monod_step(y_n, h: float, mu: float):
     phi = (1 - e^{-Rh})/R with R = mu - 1. Requires mu > 1."""
     if mu <= 1.0:
         raise ParameterOutOfRange(f"Monod parameter must exceed 1, got {mu}")
-    y = np.asarray(y_n, dtype=float)
+    check_step(h)
     R = mu - 1.0
-    ph = h * phim(R * h)
-    ratio = y / (1.0 + y)
-    out = (y + ph * (mu - 1.0) * ratio) / (1.0 + ph * (mu + 1.0) * ratio)
-    return float(out) if np.ndim(y_n) == 0 else out
+
+    def update(y, ph):
+        ratio = y / (1.0 + y)
+        return (y + ph * (mu - 1.0) * ratio) / (1.0 + ph * (mu + 1.0) * ratio)
+
+    return _baseline_update(update, y_n, h * phim(R * h))
 
 
 def mickens_sine_step(y_n, h: float):
     """First-order nonstandard scheme for y' = sin(pi*y);
     phi = (1 - e^{-pi*h})/pi < 1/pi keeps iterates inside [0, inf)."""
-    y = np.asarray(y_n, dtype=float)
-    ph = h * phim(np.pi * h)
-    out = y + ph * np.sin(np.pi * y)
-    return float(out) if np.ndim(y_n) == 0 else out
+    check_step(h)
+    return _baseline_update(lambda y, ph: y + ph * np.sin(np.pi * y), y_n, h * phim(np.pi * h))
 
 
 def powerlaw_nsfd_step(a: float, b: float, m: int, y_n, h: float):
@@ -170,14 +228,14 @@ def powerlaw_nsfd_step(a: float, b: float, m: int, y_n, h: float):
         raise ParameterOutOfRange(f"need a, b > 0, got a = {a}, b = {b}")
     if m < 2 or int(m) != m:
         raise ParameterOutOfRange(f"need integer m >= 2, got {m}")
-    y = np.asarray(y_n, dtype=float)
-    if np.any(y < 0.0):
-        raise NegativeState("powerlaw scheme needs y_n >= 0")
-    ph = h * phim(a * h)
-    num = y + ph * (a * y - b * (1.0 - m / 2.0) * y**m)
-    den = 1.0 + ph * b * (m / 2.0) * y ** (m - 1)
-    out = num / den
-    return float(out) if np.ndim(y_n) == 0 else out
+    _check_nonnegative(y_n, "powerlaw scheme")
+    check_step(h)
+
+    def update(y, ph):
+        num = y + ph * (a * y - b * (1.0 - m / 2.0) * np.power(y, m))
+        return num / (1.0 + ph * b * (m / 2.0) * np.power(y, m - 1))
+
+    return _baseline_update(update, y_n, h * phim(a * h))
 
 
 def integrate(
@@ -272,7 +330,9 @@ def reference_value(problem: ScalarProblem, y0: float, t_end: float) -> float:
     available, otherwise the fourth-order oracle over the whole span)."""
     if problem.exact_solution is not None:
         return float(problem.exact_solution(t_end, y0))
-    key = (problem.name, float(y0), float(t_end))
+    # keyed by the record, not its name: a re-parameterised problem keeps
+    # its name but has its own flow
+    key = (problem, float(y0), float(t_end))
     if key not in _REFERENCE_CACHE:
         traj = reference_solution(problem, y0, h_out=t_end, t_end=t_end, substeps=4000)
         _REFERENCE_CACHE[key] = float(traj.states[-1])

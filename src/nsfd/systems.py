@@ -35,7 +35,7 @@ import numpy as np
 from .denominator import phim
 from .errors import JacobianMissing, NegativeState, StepCountOverflow
 from .model import Trajectory
-from .schemes import MAX_STEPS, StepMap
+from .schemes import MAX_STEPS, StepMap, weighted_update
 
 #: |f_i| at or below this switches the component rate to zero (phi_i = h)
 NEAR_EQUILIBRIUM_EPS = 1e-10
@@ -213,9 +213,8 @@ def system_nsfd_step(sys: SystemProblem, cfg: SystemSchemeConfig, state, h: floa
         ph = np.asarray(cfg.denominators[i](h, s), dtype=float)
         x_i = s[..., i]
         with np.errstate(over="ignore", invalid="ignore"):
-            num = x_i + ph * fp + ph * (cfg.alphas[i] * x_i * fm)
-            den = 1.0 - ph * cfg.betas[i] * fm
-            out[..., i] = np.where(Fv[..., i] == 0.0, x_i, num / den)
+            update = weighted_update(x_i, ph, fp, fm, cfg.alphas[i], cfg.betas[i])
+            out[..., i] = np.where(Fv[..., i] == 0.0, x_i, update)
     return out
 
 

@@ -1,0 +1,130 @@
+"""The float path of the scalar steps against the array path.
+
+A state and step size that arrive as Python floats skip numpy; every other
+input runs vectorised. The two paths must agree bit for bit, raise the same
+errors, and reject the same step sizes.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from nsfd.denominator import ARG_FLOOR, SERIES_CUTOFF, phi
+from nsfd.errors import NonPositiveStep, NsfdError
+from nsfd.problems import get_problem, problem_names, scheme_bundles
+from nsfd.schemes import mickens_monod_step, powerlaw_nsfd_step
+
+#: every registry scheme with a float path (the weighted family bundles,
+#: wood and the Mickens schemes), plus the standalone Monod and power-law steps
+CASES = {
+    f"{pname}/{label}": bundle.step.update
+    for pname in problem_names()
+    for label, bundle in scheme_bundles(pname).items()
+    if label not in ("euler", "rk2")
+}
+CASES["mickens_monod_step"] = lambda y, h: mickens_monod_step(y, h, mu=2.0)
+for _m in (2, 3, 4):
+    CASES[f"powerlaw_nsfd_step(m={_m})"] = (
+        lambda y, h, m=_m: powerlaw_nsfd_step(1.0, 1.0, m, y, h))
+
+EQUILIBRIA = sorted({e.y_star for p in problem_names() for e in get_problem(p).equilibria})
+
+states = st.one_of(
+    st.sampled_from(EQUILIBRIA),
+    st.floats(0.0, 10.0),
+    st.floats(0.0, 1e200),  # far enough out for f to overflow
+)
+steps = st.one_of(
+    st.floats(1e-9, 1e-6),  # |h*lam| < SERIES_CUTOFF: the kernel's series branch
+    st.floats(1e-6, 100.0),  # up to h*lam < ARG_FLOOR: the saturated kernel
+)
+
+
+def outcome(update, y, h):
+    """The step's value, or the type of the package error it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return update(y, h)
+    except NsfdError as exc:
+        return type(exc)
+
+
+def same(float_result, array_result) -> bool:
+    if isinstance(float_result, type) or isinstance(array_result, type):
+        return float_result is array_result
+    bits = np.array([float_result, array_result[0]], dtype=float).view(np.int64)
+    return type(float_result) is float and bits[0] == bits[1]
+
+
+#: (y, h) where logistic snsfd1 evaluates the kernel by its series and
+#: where the kernel saturates at ARG_FLOOR
+SERIES_POINT, FLOOR_POINT = (0.5, 1e-7), (1e3, 100.0)
+
+
+def test_examples_reach_kernel_branches():
+    lam = scheme_bundles("logistic")["snsfd1"].spec.lambda_fn
+    assert abs(SERIES_POINT[1] * lam(SERIES_POINT[0])) < SERIES_CUTOFF
+    assert FLOOR_POINT[1] * lam(FLOOR_POINT[0]) < ARG_FLOOR
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(CASES)), y=states, h=steps)
+@example(name="powerlaw/nsfd", y=1e100, h=0.1)  # f computes y**4, which overflows floats
+@example(name="mickens_monod_step", y=-1.0, h=0.1)  # y/(1+y) divides by zero
+@example(name="logistic/wood", y=1e200, h=1.0)
+@example(name="logistic/snsfd1", y=SERIES_POINT[0], h=SERIES_POINT[1])
+@example(name="logistic/snsfd1", y=FLOOR_POINT[0], h=FLOOR_POINT[1])
+def test_float_path_is_bit_identical_to_array_path(name, y, h):
+    update = CASES[name]
+    assert same(outcome(update, y, h), outcome(update, np.array([y]), h))
+
+
+def _seeded_points(n=2000, seed=0):
+    """Fixed (y, h) pairs: each pair has its own h, so a last-bit difference
+    in the h-dependent factors of any scheme shows on some pair."""
+    rng = np.random.default_rng(seed)
+    ys = np.concatenate([rng.uniform(0.0, 10.0, n // 2), 10.0 ** rng.uniform(-300, 200, n // 2)])
+    ys[::50] = np.resize(EQUILIBRIA, ys[::50].size)
+    return [(float(y), float(h)) for y, h in zip(ys, 10.0 ** rng.uniform(-9, 2, n))]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_float_path_matches_array_path_on_seeded_points(name):
+    update = CASES[name]
+    for y, h in _seeded_points():
+        assert same(outcome(update, y, h), outcome(update, np.array([y]), h)), (y, h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(CASES)), y=st.floats(-10.0, -1e-300), h=steps)
+def test_negative_states_fail_alike(name, y, h):
+    update = CASES[name]
+    assert same(outcome(update, y, h), outcome(update, np.array([y]), h))
+
+
+bad_steps = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+    st.floats(max_value=0.0, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(CASES)),
+       y=st.one_of(st.sampled_from(EQUILIBRIA), st.floats(0.0, 10.0)), h=bad_steps)
+def test_non_finite_or_nonpositive_step_rejected(name, y, h):
+    # at an equilibrium too, where the step would otherwise return y
+    update = CASES[name]
+    assert outcome(update, y, h) is NonPositiveStep
+    assert outcome(update, np.array([y]), h) is NonPositiveStep
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf])
+def test_phi_rejects_non_finite_step(h):
+    spec = scheme_bundles("logistic")["snsfd1"].spec
+    with pytest.raises(NonPositiveStep):
+        phi(spec, h, 0.5)
+    with pytest.raises(NonPositiveStep):
+        phi(spec, np.array([0.1, h]), np.array([0.5, 0.5]))

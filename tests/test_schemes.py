@@ -14,7 +14,7 @@ from nsfd.errors import (
     StepCountOverflow,
 )
 from nsfd.model import Representation, ScalarProblem, SchemeConfig, register_problem
-from nsfd.problems import get_problem, get_scheme
+from nsfd.problems import _monod, get_problem, get_scheme
 from nsfd.schemes import (
     euler_step,
     integrate,
@@ -26,6 +26,7 @@ from nsfd.schemes import (
     nsfd_step_map,
     powerlaw_nsfd_step,
     reference_solution,
+    reference_value,
     rk2_step,
     wood_kojouharov_step,
 )
@@ -282,6 +283,11 @@ class TestReferenceSolution:
         ))
         with pytest.raises(OracleSelfCheckFailed):
             reference_solution(p, 0.5, h_out=0.5, t_end=1.0)
+
+    def test_reference_value_cache_is_keyed_by_record(self):
+        # same name, new parameter: y = 0.5 is an equilibrium for mu = 3
+        assert reference_value(_monod(), 0.5, 1.0) == pytest.approx(0.399919, abs=1e-6)
+        assert reference_value(_monod(mu=3.0), 0.5, 1.0) == 0.5
 
 
 class TestLocalOrder:
