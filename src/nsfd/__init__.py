@@ -48,7 +48,8 @@ from .systems import (
     SystemSchemeConfig,
     get_system,
     integrate_system,
-    second_order_denominators,
+    second_order_config,
+    second_order_rates,
     system_nsfd_step,
 )
 
@@ -66,6 +67,6 @@ __all__ = [
     "SplitBounds", "compute_bounds", "find_zeros", "lemma1_split", "theorem1_split",
     "validate_representation",
     "SystemProblem", "SystemSchemeConfig", "get_system", "integrate_system",
-    "second_order_denominators", "system_nsfd_step",
+    "second_order_config", "second_order_rates", "system_nsfd_step",
     "__version__",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import InitVar, dataclass, field, replace
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -144,7 +144,8 @@ class Representation:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Non-local weighting (alpha, beta) plus a denominator choice.
+    """Non-local weighting (alpha, beta); the denominator spec is passed
+    alongside it.
 
     Construction enforces alpha + beta = 1, alpha <= 0, beta >= 0 in exact
     arithmetic. Pass ``validate=False`` only to build deliberately broken
@@ -153,7 +154,6 @@ class SchemeConfig:
 
     alpha: float
     beta: float
-    denominator: Any = None  # DenominatorSpec; kept untyped to avoid an import cycle
     label: str = ""
     validate: InitVar[bool] = True
 

@@ -106,7 +106,8 @@ def _powerlaw(a: float = 1.0, b: float = 1.0, m: int = 4) -> ScalarProblem:
         f=lambda y: a * y - b * y**m,
         # np.power, as in the array path: the float step path hands df Python
         # floats, whose ** rounds differently. f keeps **: the weighted
-        # scheme only tests it for zero, and Euler/RK2 runs use it as is.
+        # scheme only tests it for zero, and the Euler/RK2 float results (so
+        # the `nsfd run` CSVs) are those of Python's **.
         df=lambda y: a - b * m * np.power(y, m - 1),
         domain_hint=(0.0, 10.0),
         exact_solution=exact,
@@ -169,7 +170,7 @@ def _family_bundle(
     validate: bool = True,
 ) -> SchemeBundle:
     alpha = (1.0 - beta) if alpha is None else alpha
-    config = SchemeConfig(alpha=alpha, beta=beta, denominator=spec, label=label, validate=validate)
+    config = SchemeConfig(alpha=alpha, beta=beta, label=label, validate=validate)
     return SchemeBundle(
         label=label,
         step=nsfd_step_map(problem, rep, config, spec, label=label),
@@ -207,8 +208,7 @@ def _logistic_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
             label="wood",
             step=wood_map(),
             rep=rep_linear,
-            config=SchemeConfig(alpha=1.0, beta=0.0, denominator=None, label="wood",
-                                validate=False),
+            config=SchemeConfig(alpha=1.0, beta=0.0, label="wood", validate=False),
             spec=constant_rate(1.0, label="1 - e^{-h}"),
             positive=True,
             elementary_stable=True,
@@ -219,8 +219,7 @@ def _logistic_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
 
 
 def _cubic_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
-    rep = Representation(f_plus=lambda y: np.asarray(y, dtype=float),
-                         f_minus=lambda y: -np.asarray(y, dtype=float) ** 2)
+    rep = Representation(f_plus=lambda y: y, f_minus=lambda y: -(y * y))
     return {
         "nsfd": _family_bundle(
             p, "nsfd", rep, beta=1.5, spec=derived_denominator(p, rep, 1.5),
@@ -242,10 +241,10 @@ def _cubic_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
 
 def _sine_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
     rep = Representation(
-        f_plus=lambda y: np.sin(np.pi * y) + np.pi * np.asarray(y, dtype=float),
-        f_minus=lambda y: -np.pi * np.ones_like(np.asarray(y, dtype=float)),
+        f_plus=lambda y: np.sin(np.pi * y) + np.pi * y,
+        f_minus=lambda y: np.full_like(y, -np.pi, dtype=float),
     )
-    printed_lambda = lambda y: np.pi * np.cos(np.pi * np.asarray(y, dtype=float)) - 2.0 * np.pi  # noqa: E731
+    printed_lambda = lambda y: np.pi * np.cos(np.pi * y) - 2.0 * np.pi  # noqa: E731
     return {
         "nsfd": _family_bundle(
             p, "nsfd", rep, beta=1.0, spec=derived_denominator(p, rep, 1.0),
@@ -271,10 +270,10 @@ def _sine_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
 def _monod_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
     mu = MONOD_MU
     rep = Representation(
-        f_plus=lambda y: (mu - 1.0) * np.asarray(y, dtype=float) / (1.0 + np.asarray(y, dtype=float)),
-        f_minus=lambda y: -(mu + 1.0) * np.asarray(y, dtype=float) / (1.0 + np.asarray(y, dtype=float)),
+        f_plus=lambda y: (mu - 1.0) * y / (1.0 + y),
+        f_minus=lambda y: -(mu + 1.0) * y / (1.0 + y),
     )
-    printed_rate = lambda y: (mu + 1.0) * (1.0 + 3.0 * np.asarray(y, dtype=float)) / (1.0 + np.asarray(y, dtype=float))  # noqa: E731
+    printed_rate = lambda y: (mu + 1.0) * (1.0 + 3.0 * y) / (1.0 + y)  # noqa: E731
     return {
         "nsfd": _family_bundle(
             p, "nsfd", rep, beta=1.0, spec=derived_denominator(p, rep, 1.0),
@@ -297,9 +296,8 @@ def _monod_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
 def _powerlaw_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
     a, b, m = POWERLAW_PARAMS["a"], POWERLAW_PARAMS["b"], POWERLAW_PARAMS["m"]
     rep = Representation(
-        f_plus=lambda y: a * np.asarray(y, dtype=float)
-        - b * (1.0 - m / 2.0) * np.asarray(y, dtype=float) ** m,
-        f_minus=lambda y: -b * (m / 2.0) * np.asarray(y, dtype=float) ** (m - 1),
+        f_plus=lambda y: a * y - b * (1.0 - m / 2.0) * np.power(y, m),
+        f_minus=lambda y: -b * (m / 2.0) * np.power(y, m - 1),
     )
     return {
         "nsfd": _family_bundle(

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -55,8 +55,6 @@ class StepMap:
 
     label: str
     update: Callable
-    requires_representation: bool = False
-    order_claimed: Union[int, str] = 1  # 1 | 2 | "exact"
 
 
 def _check_nonnegative(y_n, scheme: str) -> None:
@@ -112,13 +110,11 @@ def nsfd_step_map(
     return StepMap(
         label=label or config.label or "nsfd",
         update=lambda y, h: nsfd_step(problem, rep, config, spec, y, h),
-        requires_representation=True,
-        order_claimed=2,
     )
 
 
 def euler_step(problem: ScalarProblem, y_n, h: float):
-    return y_n + h * problem.f(y_n)
+    return _baseline_update(lambda y, h: y + h * problem.f(y), y_n, h)
 
 
 def euler_map(problem: ScalarProblem) -> StepMap:
@@ -127,20 +123,24 @@ def euler_map(problem: ScalarProblem) -> StepMap:
 
 def rk2_step(problem: ScalarProblem, y_n, h: float):
     """Heun's method: y + (h/2)*(f(y) + f(y + h*f(y)))."""
-    k1 = problem.f(y_n)
-    k2 = problem.f(y_n + h * k1)
-    return y_n + 0.5 * h * (k1 + k2)
+
+    def update(y, h):
+        k1 = problem.f(y)
+        k2 = problem.f(y + h * k1)
+        return y + 0.5 * h * (k1 + k2)
+
+    return _baseline_update(update, y_n, h)
 
 
 def rk2_map(problem: ScalarProblem) -> StepMap:
-    return StepMap(label="rk2", update=lambda y, h: rk2_step(problem, y, h), order_claimed=2)
+    return StepMap(label="rk2", update=lambda y, h: rk2_step(problem, y, h))
 
 
 def _baseline_update(update: Callable, y_n, ph):
-    """``update(y, ph)`` on Python floats when ``y_n`` and ``ph`` are floats,
-    on a float array otherwise (a float result for a 0-d state). Float inputs
-    whose arithmetic raises rerun on the array path, which returns numpy's
-    inf/nan instead."""
+    """``update(y, ph)`` on Python floats when ``y_n`` and ``ph`` (a
+    denominator or a step size) are floats, on a float array otherwise (a
+    float result for a 0-d state). Float inputs whose arithmetic raises rerun
+    on the array path, which returns numpy's inf/nan instead."""
     if is_float_step(y_n, ph):
         try:
             return float(update(float(y_n), float(ph)))

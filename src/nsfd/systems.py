@@ -6,41 +6,44 @@ component forms are supported:
 * product form   dx_i/dt = x_i * (f_plus - f_minus), f_plus, f_minus >= 0
 * affine form    dx_i/dt = f_plus + x_i * f_minus,   f_plus >= 0 >= f_minus
 
-All denominators and coefficient functions are evaluated at the old state,
-so the update is fully explicit, and each component update has a nonnegative
-numerator over a denominator >= 1: componentwise nonnegativity holds for
-every step size.
+A step evaluates F, the affine parts of every component and, at order 2,
+the Jacobian once each at the old state, and updates all components at once
+with the scalar weighted update, so the update is fully explicit and each
+component has a nonnegative numerator over a denominator >= 1:
+componentwise nonnegativity holds for every step size.
 
-The order-2 denominators come from matching the h^2 term of the component
-map against the chain rule: with the affine-form f_minus,
+The denominators are phi_i = h * phim(h * lambda_i), as in the scalar
+method. A plain config has lambda_i = 0, so phi_i = h. The order-2 rates
+come from matching the h^2 term of the component map against the chain
+rule: with the affine-form f_minus,
 
     lambda_i(x) = 2*beta_i*f_minus_i(x) - (grad f_i . F)(x) / f_i(x)
 
-evaluated where |f_i| exceeds a small threshold and zero elsewhere (at
-points where f_i vanishes both h^2 coefficients vanish with it). The kernel
-argument h*lambda_i is clamped to a trust region: lambda_i grows like
-1/f_i near a nullcline crossing, and an unclamped kernel there turns the
+computed for all components together where |f_i| exceeds the constant
+NEAR_EQUILIBRIUM_EPS, and zero elsewhere (at points where f_i vanishes both
+h^2 coefficients vanish with it). The kernel argument h*lambda_i is clamped
+to the constant trust region KERNEL_ARG_CLAMP: lambda_i grows like 1/f_i
+near a nullcline crossing, and an unclamped kernel there turns the
 denominator into an O(1) amplifier that costs a full order of measured
 convergence along orbits that cross nullclines.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .denominator import phim
-from .errors import JacobianMissing, NegativeState, StepCountOverflow
+from .denominator import check_step, phim
+from .errors import JacobianMissing, NegativeState
 from .model import Trajectory
-from .schemes import MAX_STEPS, StepMap, weighted_update
+from .schemes import StepMap, integrate, weighted_update
 
 #: |f_i| at or below this switches the component rate to zero (phi_i = h)
 NEAR_EQUILIBRIUM_EPS = 1e-10
 
-#: default trust region for the kernel argument h*lambda_i
+#: trust region for the kernel argument h*lambda_i
 KERNEL_ARG_CLAMP = 4.0
 
 
@@ -82,46 +85,32 @@ class SystemProblem:
         if len(self.components) != self.dim:
             raise ValueError(f"{self.name}: {len(self.components)} components for dim {self.dim}")
 
-
-@dataclass(frozen=True)
-class SystemDenominator:
-    """Per-component denominator phi_i(h, state).
-
-    kind "plain" is phi = h; "eq17" evaluates h * phim(clip(h * lambda_fn(state)))
-    with the trust-region clip described in the module docstring.
-    """
-
-    kind: str  # "plain" | "eq17"
-    lambda_fn: Optional[Callable] = None
-    arg_clamp: Optional[float] = KERNEL_ARG_CLAMP
-
-    def __call__(self, h: float, state):
-        if self.kind == "plain":
-            base = np.asarray(state, dtype=float)[..., 0]
-            return h * np.ones_like(base)
-        lam = np.asarray(self.lambda_fn(state), dtype=float)
-        x = h * lam
-        if self.arg_clamp is not None:
-            x = np.clip(x, -self.arg_clamp, self.arg_clamp)
-        return h * phim(x)
+    def affine_parts(self, state: np.ndarray):
+        """(f_plus, f_minus) of every component in the affine sign convention,
+        stacked on the last axis of the float state array."""
+        fp, fm = np.empty_like(state), np.empty_like(state)
+        for i, comp in enumerate(self.components):
+            fp[..., i], fm[..., i] = comp.affine_parts(state, i)
+        return fp, fm
 
 
 @dataclass(frozen=True)
 class SystemSchemeConfig:
-    """Per-component weights and denominators; alpha_i + beta_i = 1 with
-    alpha_i <= 0 <= beta_i, checked on construction."""
+    """Per-component weights, alpha_i + beta_i = 1 with alpha_i <= 0 <= beta_i
+    (checked on construction), and the denominator choice: phi_i = h, or the
+    order-2 denominators when ``second_order`` is set."""
 
     alphas: tuple[float, ...]
     betas: tuple[float, ...]
-    denominators: tuple[SystemDenominator, ...]
+    second_order: bool = False
     label: str = ""
 
     def __post_init__(self):
         for a, b in zip(self.alphas, self.betas):
             if a + b != 1.0 or a > 0.0 or b < 0.0:
                 raise ValueError(f"inadmissible component weights ({a}, {b})")
-        if not (len(self.alphas) == len(self.betas) == len(self.denominators)):
-            raise ValueError("alphas/betas/denominators length mismatch")
+        if len(self.alphas) != len(self.betas):
+            raise ValueError("alphas/betas length mismatch")
 
 
 def validate_components(sys: SystemProblem, n_samples: int = 10_000, seed: int = 0) -> float:
@@ -149,82 +138,59 @@ def validate_components(sys: SystemProblem, n_samples: int = 10_000, seed: int =
 def plain_config(sys: SystemProblem, betas: Optional[tuple] = None, label: str = "plain") -> SystemSchemeConfig:
     """Config with phi_i = h (first-order positive scheme)."""
     betas = betas or tuple(1.0 for _ in range(sys.dim))
-    return SystemSchemeConfig(
-        alphas=tuple(1.0 - b for b in betas),
-        betas=tuple(betas),
-        denominators=tuple(SystemDenominator(kind="plain") for _ in range(sys.dim)),
-        label=label,
-    )
-
-
-def second_order_denominators(
-    sys: SystemProblem,
-    cfg: SystemSchemeConfig,
-    eps: float = NEAR_EQUILIBRIUM_EPS,
-    arg_clamp: Optional[float] = KERNEL_ARG_CLAMP,
-) -> tuple[SystemDenominator, ...]:
-    """Denominators meeting the componentwise order-2 matching condition."""
-    if sys.jacobian is None:
-        raise JacobianMissing(f"{sys.name}: order-2 denominators need a jacobian")
-
-    def make_lambda(i: int, beta_i: float) -> Callable:
-        comp = sys.components[i]
-
-        def lam(state):
-            state = np.asarray(state, dtype=float)
-            Fv = np.asarray(sys.F(state), dtype=float)
-            J = np.asarray(sys.jacobian(state), dtype=float)
-            # (grad f_i . F); einsum keeps batched states working
-            jf = np.einsum("...j,...j->...", J[..., i, :], Fv)
-            fi = Fv[..., i]
-            _, fm = comp.affine_parts(state, i)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                full = 2.0 * beta_i * fm - jf / fi
-            return np.where(np.abs(fi) <= eps, 0.0, full)
-
-        return lam
-
-    return tuple(
-        SystemDenominator(kind="eq17", lambda_fn=make_lambda(i, cfg.betas[i]), arg_clamp=arg_clamp)
-        for i in range(sys.dim)
-    )
+    return SystemSchemeConfig(alphas=tuple(1.0 - b for b in betas), betas=tuple(betas), label=label)
 
 
 def second_order_config(sys: SystemProblem, betas: Optional[tuple] = None,
                         label: str = "nsfd2") -> SystemSchemeConfig:
-    base = plain_config(sys, betas, label=label)
-    return replace(base, denominators=second_order_denominators(sys, base))
+    """Config with the denominators meeting the componentwise order-2
+    matching condition; they need the system's jacobian."""
+    if sys.jacobian is None:
+        raise JacobianMissing(f"{sys.name}: order-2 denominators need a jacobian")
+    return replace(plain_config(sys, betas, label=label), second_order=True)
 
 
-def system_nsfd_step(sys: SystemProblem, cfg: SystemSchemeConfig, state, h: float):
-    """One explicit componentwise step; state must be componentwise >= 0.
+def second_order_rates(F: np.ndarray, J: np.ndarray, f_minus: np.ndarray, betas) -> np.ndarray:
+    """The order-2 rates lambda_i = 2*beta_i*f_minus_i - (J F)_i / F_i of
+    every component, zero where |F_i| <= NEAR_EQUILIBRIUM_EPS.
 
-    Batched states of shape (..., dim) are supported.
+    ``F`` and the affine ``f_minus`` have the state's shape (..., dim) and
+    ``J`` has shape (..., dim, dim).
+    """
+    jf = np.einsum("...ij,...j->...i", J, F)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        full = 2.0 * np.asarray(betas) * f_minus - jf / F
+    return np.where(np.abs(F) <= NEAR_EQUILIBRIUM_EPS, 0.0, full)
+
+
+def system_nsfd_step(sys: SystemProblem, cfg: SystemSchemeConfig, state, h):
+    """One explicit componentwise step; state must be componentwise >= 0 and
+    h finite and > 0 (NonPositiveStep otherwise). Components with f_i = 0
+    are returned exactly.
+
+    Batched states of shape (..., dim) are supported, with one step size for
+    all of them or one per state (``h`` of shape (...,)).
     """
     s = np.asarray(state, dtype=float)
     if np.any(s[np.isfinite(s)] < 0.0):
         raise NegativeState("system state must be componentwise nonnegative")
+    check_step(h)
+    if np.ndim(h):
+        h = np.asarray(h, dtype=float)[..., None]  # one step size per state
     Fv = np.asarray(sys.F(s), dtype=float)
-    out = np.empty_like(s)
-    for i in range(sys.dim):
-        fp, fm = sys.components[i].affine_parts(s, i)
-        fp = np.asarray(fp, dtype=float)
-        fm = np.asarray(fm, dtype=float)
-        ph = np.asarray(cfg.denominators[i](h, s), dtype=float)
-        x_i = s[..., i]
-        with np.errstate(over="ignore", invalid="ignore"):
-            update = weighted_update(x_i, ph, fp, fm, cfg.alphas[i], cfg.betas[i])
-            out[..., i] = np.where(Fv[..., i] == 0.0, x_i, update)
-    return out
+    fp, fm = sys.affine_parts(s)
+    lam = 0.0
+    if cfg.second_order:
+        lam = second_order_rates(Fv, np.asarray(sys.jacobian(s), dtype=float), fm, cfg.betas)
+    ph = h * phim(np.clip(h * lam, -KERNEL_ARG_CLAMP, KERNEL_ARG_CLAMP))
+    with np.errstate(over="ignore", invalid="ignore"):
+        update = weighted_update(s, ph, fp, fm, np.asarray(cfg.alphas), np.asarray(cfg.betas))
+        return np.where(Fv == 0.0, s, update)
 
 
 def system_step_map(sys: SystemProblem, cfg: SystemSchemeConfig) -> StepMap:
-    return StepMap(
-        label=cfg.label or "system-nsfd",
-        update=lambda s, h: system_nsfd_step(sys, cfg, s, h),
-        requires_representation=True,
-        order_claimed=2 if cfg.denominators[0].kind == "eq17" else 1,
-    )
+    return StepMap(label=cfg.label or "system-nsfd",
+                   update=lambda s, h: system_nsfd_step(sys, cfg, s, h))
 
 
 def euler_system_map(sys: SystemProblem) -> StepMap:
@@ -239,26 +205,7 @@ def integrate_system(
     t_end: float,
 ) -> Trajectory:
     """Fold the componentwise step from t = 0 to t_end at fixed step h."""
-    if h <= 0.0:
-        raise ValueError(f"h = {h!r} must be > 0")
-    n = int(round(t_end / h))
-    if n > MAX_STEPS:
-        raise StepCountOverflow(f"{t_end}/{h} needs {n} steps")
-    if abs(n * h - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        warnings.warn(f"t_end = {t_end} is not a multiple of h = {h}", stacklevel=2)
-    s = np.asarray(state0, dtype=float)
-    states = np.empty((n + 1, sys.dim))
-    states[0] = s
-    for k in range(n):
-        s = system_nsfd_step(sys, cfg, s, h)
-        states[k + 1] = s
-    return Trajectory(
-        times=np.arange(n + 1, dtype=float) * h,
-        states=states,
-        scheme_label=cfg.label or "system-nsfd",
-        problem_name=sys.name,
-        h=h,
-    )
+    return integrate(system_step_map(sys, cfg), state0, h, t_end, problem_name=sys.name)
 
 
 def conserved_series(sys: SystemProblem, traj: Trajectory):

@@ -137,8 +137,7 @@ class TestStabilityAudit:
         # sanity anchor: the exact one-step flow is elementary stable
         p = get_problem("logistic")
         flow = StepMap(label="exact-flow",
-                       update=lambda y, h: np.asarray(p.exact_solution(h, y), dtype=float),
-                       order_claimed="exact")
+                       update=lambda y, h: np.asarray(p.exact_solution(h, y), dtype=float))
         report = elementary_stability_audit(p, [0.1, 1.25, 10.0], step_map=flow,
                                             scan_points=20000)
         assert report.passed

@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -75,8 +77,36 @@ class TestRun:
         _, rows = _read_csv(out)
         assert all(r[2] == "" and r[3] == "" for r in rows)
 
+    @pytest.mark.parametrize("scheme", ["euler", "rk2"])
+    def test_powerlaw_blow_up_reported(self, tmp_path, capsys, scheme):
+        # y**4 overflows Python floats within a few steps from y0 = 3
+        out = tmp_path / "blowup.csv"
+        assert main(["run", "--problem", "powerlaw", "--scheme", scheme,
+                     "--y0", "3", "--h", "0.1", "--t-end", "1", "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        assert len(rows) == 11
+        assert not math.isfinite(float(rows[-1][1]))
+        assert "final y = -inf" in capsys.readouterr().out
+
+
+#: sha256 of ``run-sys --h 0.1 --t-end 10`` CSVs, pinned from the
+#: per-component implementation of the system step
+RUN_SYS_SHA256 = {
+    ("lv", "nsfd2"): "9aec70b322f192d627922222f434e9e28492499b5d889100e4986ae457b35839",
+    ("lv", "plain"): "13de21376837eeee354eda426a69c5f0ff32c69393f91a35b4c1f09a30ad380c",
+    ("sirs", "nsfd2"): "3dbd3da5835fa64ee4d4c31af66ce910355eee7355ac39f40ce19492d0c6c8e4",
+    ("sirs", "plain"): "7d69ad9038de76c6d860c9ad92f538b1627d1d197f7cfed877759569a52823a9",
+}
+
 
 class TestRunSys:
+    @pytest.mark.parametrize(("model", "scheme"), sorted(RUN_SYS_SHA256))
+    def test_csv_bytes_pinned(self, tmp_path, model, scheme):
+        out = tmp_path / "sys.csv"
+        assert main(["run-sys", "--model", model, "--scheme", scheme,
+                     "--h", "0.1", "--t-end", "10", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == RUN_SYS_SHA256[(model, scheme)]
+
     def test_lv_columns(self, tmp_path):
         out = tmp_path / "lv.csv"
         assert main(["run-sys", "--model", "lv", "--h", "0.1", "--t-end", "2",
@@ -138,8 +168,7 @@ class TestAudit:
         import nsfd.cli as cli
 
         b = get_scheme("logistic", "snsfd1")
-        broken_cfg = SchemeConfig(alpha=1.1, beta=-0.1, denominator=b.spec,
-                                  label="broken", validate=False)
+        broken_cfg = SchemeConfig(alpha=1.1, beta=-0.1, label="broken", validate=False)
         from nsfd.schemes import nsfd_step
 
         def broken_update(y, h):

@@ -30,6 +30,17 @@ for _m in (2, 3, 4):
     CASES[f"powerlaw_nsfd_step(m={_m})"] = (
         lambda y, h, m=_m: powerlaw_nsfd_step(1.0, 1.0, m, y, h))
 
+#: the Euler and RK2 baselines, which make no claim on the state or the step
+#: size. Power-law f computes y**m, which on Python floats rounds differently
+#: from numpy's power, so its baselines are checked on their own below.
+BASELINES = {
+    f"{pname}/{label}": scheme_bundles(pname)[label].step.update
+    for pname in problem_names()
+    for label in ("euler", "rk2")
+    if pname != "powerlaw"
+}
+BIT_IDENTICAL = CASES | BASELINES
+
 EQUILIBRIA = sorted({e.y_star for p in problem_names() for e in get_problem(p).equilibria})
 
 states = st.one_of(
@@ -71,14 +82,15 @@ def test_examples_reach_kernel_branches():
 
 
 @settings(max_examples=400, deadline=None)
-@given(name=st.sampled_from(sorted(CASES)), y=states, h=steps)
+@given(name=st.sampled_from(sorted(BIT_IDENTICAL)), y=states, h=steps)
 @example(name="powerlaw/nsfd", y=1e100, h=0.1)  # f computes y**4, which overflows floats
 @example(name="mickens_monod_step", y=-1.0, h=0.1)  # y/(1+y) divides by zero
 @example(name="logistic/wood", y=1e200, h=1.0)
 @example(name="logistic/snsfd1", y=SERIES_POINT[0], h=SERIES_POINT[1])
 @example(name="logistic/snsfd1", y=FLOOR_POINT[0], h=FLOOR_POINT[1])
+@example(name="monod/rk2", y=1e200, h=1.0)
 def test_float_path_is_bit_identical_to_array_path(name, y, h):
-    update = CASES[name]
+    update = BIT_IDENTICAL[name]
     assert same(outcome(update, y, h), outcome(update, np.array([y]), h))
 
 
@@ -91,11 +103,38 @@ def _seeded_points(n=2000, seed=0):
     return [(float(y), float(h)) for y, h in zip(ys, 10.0 ** rng.uniform(-9, 2, n))]
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(BIT_IDENTICAL))
 def test_float_path_matches_array_path_on_seeded_points(name):
-    update = CASES[name]
+    update = BIT_IDENTICAL[name]
     for y, h in _seeded_points():
         assert same(outcome(update, y, h), outcome(update, np.array([y]), h)), (y, h)
+
+
+def _powerlaw_baseline_on_floats(label, y, h):
+    """The power-law Euler or RK2 step in Python float arithmetic."""
+    f = get_problem("powerlaw").f
+    if label == "euler":
+        return y + h * f(y)
+    k1 = f(y)
+    return y + 0.5 * h * (k1 + f(y + h * k1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(label=st.sampled_from(["euler", "rk2"]), y=states, h=steps)
+@example(label="euler", y=1e100, h=0.1)  # y**4 overflows floats
+@example(label="rk2", y=1e100, h=0.1)
+def test_powerlaw_baselines_keep_float_results_and_survive_overflow(label, y, h):
+    # float results are those of Python float arithmetic; where y**m raises
+    # OverflowError on floats the step returns the array path's inf/nan
+    update = scheme_bundles("powerlaw")[label].step.update
+    try:
+        expected = _powerlaw_baseline_on_floats(label, y, h)
+    except OverflowError:
+        expected = outcome(update, np.array([y]), h)[0]
+        assert not math.isfinite(expected)
+    got = outcome(update, y, h)
+    assert type(got) is float
+    assert np.array([got]).view(np.int64)[0] == np.array([expected]).view(np.int64)[0]
 
 
 @settings(max_examples=200, deadline=None)

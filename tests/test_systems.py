@@ -1,8 +1,13 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsfd.analysis import positivity_audit
-from nsfd.errors import JacobianMissing, NegativeState
+from nsfd.errors import JacobianMissing, NegativeState, NonPositiveStep
 from nsfd.problems import get_problem, get_scheme
 from nsfd.systems import (
     DEFAULT_STARTS,
@@ -18,7 +23,7 @@ from nsfd.systems import (
     plain_config,
     reference_system_solution,
     second_order_config,
-    second_order_denominators,
+    second_order_rates,
     sirs,
     stability_thresholds,
     system_nsfd_step,
@@ -67,18 +72,75 @@ class TestSystemStep:
             np.testing.assert_allclose(out[i], system_nsfd_step(lv, cfg, s, 0.7), rtol=1e-15)
 
 
+def _config(system, order2):
+    return second_order_config(system) if order2 else plain_config(system)
+
+
+bad_steps = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+    st.floats(max_value=0.0, allow_nan=False),
+)
+
+
+class TestStepContract:
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(["lv", "sirs"]), order2=st.booleans(), h=bad_steps,
+           at_equilibrium=st.booleans(), n_lanes=st.integers(1, 8), data=st.data())
+    def test_non_finite_or_nonpositive_step_rejected(self, name, order2, h, at_equilibrium,
+                                                     n_lanes, data):
+        # at an equilibrium too, where the step would otherwise return the state
+        system = get_system(name)
+        cfg = _config(system, order2)
+        state = system.equilibria[-1] if at_equilibrium else np.array(DEFAULT_STARTS[name])
+        with pytest.raises(NonPositiveStep):
+            system_nsfd_step(system, cfg, state, h)
+        # lanes with per-lane step sizes, one of them bad
+        hs = np.full(n_lanes, 0.1)
+        hs[data.draw(st.integers(0, n_lanes - 1))] = h
+        with pytest.raises(NonPositiveStep):
+            system_nsfd_step(system, cfg, np.tile(state, (n_lanes, 1)), hs)
+
+    @pytest.mark.parametrize("order2", [True, False])
+    def test_per_lane_steps_match_single_states(self, order2):
+        lv = get_system("lv")
+        cfg = _config(lv, order2)
+        batch = np.array([[2.0, 0.5], [1.0, 1.0], [0.3, 4.0]])
+        hs = np.array([0.05, 0.7, 30.0])
+        out = system_nsfd_step(lv, cfg, batch, hs)
+        for s, h, row in zip(batch, hs, out):
+            np.testing.assert_array_equal(row, system_nsfd_step(lv, cfg, s, h))
+
+    @pytest.mark.parametrize("name", ["lv", "sirs"])
+    @pytest.mark.parametrize("order2", [True, False])
+    def test_F_and_J_evaluated_once_per_step(self, name, order2):
+        base = get_system(name)
+        calls = {"F": 0, "J": 0}
+
+        def counted(key, fn):
+            def wrapped(s):
+                calls[key] += 1
+                return fn(s)
+            return wrapped
+
+        system = replace(base, F=counted("F", base.F), jacobian=counted("J", base.jacobian))
+        cfg = _config(system, order2)
+        integrate_system(system, cfg, DEFAULT_STARTS[name], 0.1, 1.0)
+        system_nsfd_step(system, cfg, np.tile(DEFAULT_STARTS[name], (5, 1)), 0.1)
+        assert calls == {"F": 11, "J": 11 if order2 else 0}
+
+
 class TestConfigs:
     def test_weight_validation(self):
         with pytest.raises(ValueError):
-            SystemSchemeConfig(alphas=(0.5,), betas=(0.5,), denominators=(None,))
+            SystemSchemeConfig(alphas=(0.5,), betas=(0.5,))
         with pytest.raises(ValueError):
-            SystemSchemeConfig(alphas=(0.0, 0.0), betas=(1.0,), denominators=(None, None))
+            SystemSchemeConfig(alphas=(0.0, 0.0), betas=(1.0,))
 
     def test_jacobian_missing(self):
         lv = get_system("lv")
         bare = SystemProblem(name="bare", dim=2, F=lv.F, components=lv.components)
         with pytest.raises(JacobianMissing):
-            second_order_denominators(bare, plain_config(bare))
+            second_order_config(bare)
 
     def test_component_count_checked(self):
         lv = get_system("lv")
@@ -104,16 +166,20 @@ class TestSecondOrderDenominators:
             jacobian=lambda s: np.stack(
                 [np.stack([2.0 - 2.0 * np.asarray(s, float)[..., 0]], axis=-1)], axis=-2),
         )
-        dens = second_order_denominators(sys1, plain_config(sys1))
+        betas = second_order_config(sys1).betas
         scalar_lam = b.spec.lambda_fn
         for y in (0.1, 0.5, 1.5, 3.0, 9.0):
-            got = float(dens[0].lambda_fn(np.array([y])))
+            s = np.array([y])
+            got = float(second_order_rates(sys1.F(s), sys1.jacobian(s), sys1.affine_parts(s)[1],
+                                           betas)[0])
             assert got == pytest.approx(float(scalar_lam(y)), rel=1e-12)
 
     def test_rate_zero_where_f_vanishes(self):
         lv = get_system("lv")
-        dens = second_order_denominators(lv, plain_config(lv))
-        assert float(dens[0].lambda_fn(np.array([1.0, 1.0]))) == 0.0
+        s = np.array([1.0, 1.0])
+        rates = second_order_rates(lv.F(s), lv.jacobian(s), lv.affine_parts(s)[1],
+                                   second_order_config(lv).betas)
+        assert float(rates[0]) == 0.0
 
     def test_sirs_quick_rate_estimate(self):
         # cheap two-grid order probe; the full fit lives in the acceptance suite
