@@ -20,11 +20,11 @@ import numpy as np
 from .analysis import (
     convergence_rates,
     elementary_stability_audit,
-    errata_report,
     positivity_audit,
     rate_between,
 )
 from .denominator import check_H_conditions
+from .errata import errata_report
 from .problems import get_problem, get_scheme, problem_names, scheme_bundles
 from .schemes import integrate
 from .splitting import theorem1_split, validate_representation

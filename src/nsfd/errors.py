@@ -37,6 +37,10 @@ class StepCountOverflow(NsfdError):
     """Integration would require an unreasonable number of steps."""
 
 
+class ZeroStepCount(NsfdError):
+    """A positive integration horizon rounds to no step at the given h."""
+
+
 class OracleSelfCheckFailed(NsfdError):
     """High-order reference integrator disagrees with a known exact solution."""
 

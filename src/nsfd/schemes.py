@@ -40,6 +40,7 @@ from .errors import (
     OracleSelfCheckFailed,
     ParameterOutOfRange,
     StepCountOverflow,
+    ZeroStepCount,
 )
 from .model import Representation, ScalarProblem, SchemeConfig, Trajectory
 
@@ -247,14 +248,16 @@ def integrate(
 ) -> Trajectory:
     """Fold a step map from t = 0 to t_end at fixed step h.
 
-    t_end is rounded to a whole number of steps (with a warning when the
-    rounding is not exact).
+    h must be finite and > 0 (NonPositiveStep otherwise). t_end is rounded
+    to a whole number of steps (with a warning when the rounding is not
+    exact); a t_end > 0 that rounds to no step at all raises ZeroStepCount.
     """
-    if h <= 0.0:
-        raise ValueError(f"h = {h!r} must be > 0")
+    check_step(h)
     n = int(round(t_end / h))
     if n > MAX_STEPS:
         raise StepCountOverflow(f"{t_end}/{h} needs {n} steps (limit {MAX_STEPS})")
+    if n == 0 and t_end > 0.0:
+        raise ZeroStepCount(f"t_end = {t_end} rounds to zero steps of h = {h}")
     if abs(n * h - t_end) > 1e-9 * max(1.0, abs(t_end)):
         warnings.warn(
             f"t_end = {t_end} is not a multiple of h = {h}; integrating to {n * h}",
@@ -276,15 +279,18 @@ def integrate(
     )
 
 
-def _rk4(f: Callable, y0: float, t_end: float, n: int) -> float:
-    y = float(y0)
+def rk4(F: Callable, y0: tuple, t_end: float, n: int) -> tuple:
+    """n classical fourth-order steps of y' = F(y) from y0 over [0, t_end],
+    on Python floats: the state and the values of F are tuples of floats."""
+    y = y0
     h = t_end / n
+    half, sixth = 0.5 * h, h / 6.0
     for _ in range(n):
-        k1 = f(y)
-        k2 = f(y + 0.5 * h * k1)
-        k3 = f(y + 0.5 * h * k2)
-        k4 = f(y + h * k3)
-        y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = F(y)
+        k2 = F(tuple([v + half * k for v, k in zip(y, k1)]))
+        k3 = F(tuple([v + half * k for v, k in zip(y, k2)]))
+        k4 = F(tuple([v + h * k for v, k in zip(y, k3)]))
+        y = tuple([v + sixth * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
     return y
 
 
@@ -305,9 +311,9 @@ def reference_solution(
     times = np.arange(n_out + 1, dtype=float) * h_out
     states = np.empty(n_out + 1)
     states[0] = y = float(y0)
-    fn = lambda y: float(problem.f(y))  # noqa: E731
+    fn = lambda y: (float(problem.f(y[0])),)  # noqa: E731
     for k in range(n_out):
-        y = _rk4(fn, y, h_out, substeps)
+        (y,) = rk4(fn, (y,), h_out, substeps)
         states[k + 1] = y
 
     if problem.exact_solution is not None:

@@ -26,10 +26,24 @@ to the constant trust region KERNEL_ARG_CLAMP: lambda_i grows like 1/f_i
 near a nullcline crossing, and an unclamped kernel there turns the
 denominator into an O(1) amplifier that costs a full order of measured
 convergence along orbits that cross nullclines.
+
+A single state of shape (dim,) with a Python-float step size takes a float
+path: its components become a tuple of Python floats, the step runs on them
+and the result comes back as an array. Lane batches and per-lane step sizes
+stay vectorised. Both paths evaluate the same expressions in the same order
+(the product J.F comes from one einsum on both), so they agree bit for bit;
+where float arithmetic raises (x/0) and numpy returns inf or nan instead,
+the step reruns on the array path. So every model callable (F, the
+jacobian, each component's f_plus and f_minus) is written once for both
+inputs: it takes a tuple of floats or a (..., dim) array, unpacks the
+components with ``state_parts`` and packs a vector result with ``pack``. It
+sticks to arithmetic and numpy ufuncs and never uses Python's ``**``, which
+rounds differently from numpy's power on floats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -38,7 +52,7 @@ import numpy as np
 from .denominator import check_step, phim
 from .errors import JacobianMissing, NegativeState
 from .model import Trajectory
-from .schemes import StepMap, integrate, weighted_update
+from .schemes import StepMap, integrate, rk4, weighted_update
 
 #: |f_i| at or below this switches the component rate to zero (phi_i = h)
 NEAR_EQUILIBRIUM_EPS = 1e-10
@@ -47,13 +61,39 @@ NEAR_EQUILIBRIUM_EPS = 1e-10
 KERNEL_ARG_CLAMP = 4.0
 
 
+def state_parts(state):
+    """The components of a state: a tuple of floats as it is, otherwise the
+    last-axis slices of the (..., dim) float array."""
+    if isinstance(state, tuple):
+        return state
+    s = np.asarray(state, dtype=float)
+    return [s[..., i] for i in range(s.shape[-1])]
+
+
+def pack(state, values):
+    """Component values laid out like ``state``: a tuple for a tuple state,
+    otherwise a (..., len(values)) array (constants broadcast). Packing
+    packed rows gives a matrix, J[i][j] or J[..., i, j]."""
+    if isinstance(state, tuple):
+        return tuple(values)
+    batch = np.shape(state)[:-1]
+    if np.ndim(values[0]) > len(batch):  # packed rows
+        return np.stack(values, axis=-2)
+    out = np.empty(batch + (len(values),))
+    for i, v in enumerate(values):
+        out[..., i] = v
+    return out
+
+
 @dataclass(frozen=True)
 class SystemComponent:
     """Signed coefficient functions for one component.
 
     For ``form="product"`` both callables are nonnegative on the state box;
     for ``form="affine"`` f_plus >= 0 and f_minus <= 0. Callables take the
-    full state array (last axis indexes components, so batched states work).
+    full state, a tuple of floats or a (..., dim) array (last axis indexes
+    components, so batched states work), and return a float for a tuple and
+    values broadcasting to the batch shape for an array.
     """
 
     form: str  # "product" | "affine"
@@ -64,10 +104,7 @@ class SystemComponent:
         """(f_plus, f_minus) in the affine sign convention."""
         if self.form == "affine":
             return self.f_plus(state), self.f_minus(state)
-        x_i = np.asarray(state, dtype=float)[..., idx]
-        return x_i * np.asarray(self.f_plus(state), dtype=float), -np.asarray(
-            self.f_minus(state), dtype=float
-        )
+        return state_parts(state)[idx] * self.f_plus(state), -self.f_minus(state)
 
 
 @dataclass(frozen=True)
@@ -76,7 +113,7 @@ class SystemProblem:
     dim: int
     F: Callable  # state -> dstate/dt
     components: tuple[SystemComponent, ...]
-    jacobian: Optional[Callable] = None  # state -> (dim, dim) matrix
+    jacobian: Optional[Callable] = None  # state -> (..., dim, dim) matrix, or rows of floats
     conserved: Optional[Callable] = None  # state -> float diagnostic
     equilibria: tuple = ()
     box: tuple[float, float] = (0.0, 10.0)  # sampling box for sign audits
@@ -85,13 +122,11 @@ class SystemProblem:
         if len(self.components) != self.dim:
             raise ValueError(f"{self.name}: {len(self.components)} components for dim {self.dim}")
 
-    def affine_parts(self, state: np.ndarray):
+    def affine_parts(self, state):
         """(f_plus, f_minus) of every component in the affine sign convention,
-        stacked on the last axis of the float state array."""
-        fp, fm = np.empty_like(state), np.empty_like(state)
-        for i, comp in enumerate(self.components):
-            fp[..., i], fm[..., i] = comp.affine_parts(state, i)
-        return fp, fm
+        each packed like the state."""
+        parts = [comp.affine_parts(state, i) for i, comp in enumerate(self.components)]
+        return pack(state, [fp for fp, _ in parts]), pack(state, [fm for _, fm in parts])
 
 
 @dataclass(frozen=True)
@@ -150,14 +185,21 @@ def second_order_config(sys: SystemProblem, betas: Optional[tuple] = None,
     return replace(plain_config(sys, betas, label=label), second_order=True)
 
 
-def second_order_rates(F: np.ndarray, J: np.ndarray, f_minus: np.ndarray, betas) -> np.ndarray:
+def second_order_rates(F, J, f_minus, betas):
     """The order-2 rates lambda_i = 2*beta_i*f_minus_i - (J F)_i / F_i of
     every component, zero where |F_i| <= NEAR_EQUILIBRIUM_EPS.
 
     ``F`` and the affine ``f_minus`` have the state's shape (..., dim) and
-    ``J`` has shape (..., dim, dim).
+    ``J`` has shape (..., dim, dim); or ``F`` is a tuple of floats, ``J`` a
+    tuple of rows and the rates come back as a tuple of floats.
     """
+    # the float path takes J.F from the same einsum: einsum adds the terms
+    # pairwise in SIMD lanes, not left to right, so a float loop would not
+    # reproduce its bits
     jf = np.einsum("...ij,...j->...i", J, F)
+    if isinstance(F, tuple):
+        return tuple(0.0 if abs(F_i) <= NEAR_EQUILIBRIUM_EPS else 2.0 * b * fm_i - jf_i / F_i
+                     for F_i, jf_i, fm_i, b in zip(F, jf.tolist(), f_minus, betas))
     with np.errstate(divide="ignore", invalid="ignore"):
         full = 2.0 * np.asarray(betas) * f_minus - jf / F
     return np.where(np.abs(F) <= NEAR_EQUILIBRIUM_EPS, 0.0, full)
@@ -169,8 +211,18 @@ def system_nsfd_step(sys: SystemProblem, cfg: SystemSchemeConfig, state, h):
     are returned exactly.
 
     Batched states of shape (..., dim) are supported, with one step size for
-    all of them or one per state (``h`` of shape (...,)).
+    all of them or one per state (``h`` of shape (...,)). A single state of
+    shape (dim,) with a float ``h`` takes the float path.
     """
+    if isinstance(h, float) and np.shape(state) == (sys.dim,):
+        x = tuple(np.asarray(state, dtype=float).tolist())
+        if any(-math.inf < v < 0.0 for v in x):  # finite negatives, as below
+            raise NegativeState("system state must be componentwise nonnegative")
+        check_step(h)
+        try:
+            return np.array(_float_step(sys, cfg, x, h))
+        except (OverflowError, ZeroDivisionError):
+            pass  # numpy returns inf/nan here: rerun on the array path
     s = np.asarray(state, dtype=float)
     if np.any(s[np.isfinite(s)] < 0.0):
         raise NegativeState("system state must be componentwise nonnegative")
@@ -186,6 +238,25 @@ def system_nsfd_step(sys: SystemProblem, cfg: SystemSchemeConfig, state, h):
     with np.errstate(over="ignore", invalid="ignore"):
         update = weighted_update(s, ph, fp, fm, np.asarray(cfg.alphas), np.asarray(cfg.betas))
         return np.where(Fv == 0.0, s, update)
+
+
+def _float_step(sys: SystemProblem, cfg: SystemSchemeConfig, x: tuple, h: float) -> list:
+    """The array path of ``system_nsfd_step`` component by component on a
+    tuple of floats."""
+    F = sys.F(x)
+    fp, fm = sys.affine_parts(x)
+    lams = (0.0,) * sys.dim
+    if cfg.second_order:
+        lams = second_order_rates(F, sys.jacobian(x), fm, cfg.betas)
+    out = []
+    for x_i, F_i, fp_i, fm_i, lam, a, b in zip(x, F, fp, fm, lams, cfg.alphas, cfg.betas):
+        if F_i == 0.0:
+            out.append(x_i)
+            continue
+        # clip as np.clip does, letting nan through
+        arg = min(max(h * lam, -KERNEL_ARG_CLAMP), KERNEL_ARG_CLAMP)
+        out.append(weighted_update(x_i, h * phim(arg), fp_i, fm_i, a, b))
+    return out
 
 
 def system_step_map(sys: SystemProblem, cfg: SystemSchemeConfig) -> StepMap:
@@ -218,19 +289,13 @@ def conserved_series(sys: SystemProblem, traj: Trajectory):
 def reference_system_solution(sys: SystemProblem, state0, h_out: float, t_end: float,
                               substeps: int = 1000) -> Trajectory:
     """Classical fourth-order reference on the output grid (internal step
-    h_out/substeps)."""
+    h_out/substeps), run on floats: ``sys.F`` receives tuples."""
     n_out = int(round(t_end / h_out))
-    s = np.asarray(state0, dtype=float)
+    s = tuple(np.asarray(state0, dtype=float).tolist())
     states = np.empty((n_out + 1, sys.dim))
     states[0] = s
-    h_in = h_out / substeps
     for k in range(n_out):
-        for _ in range(substeps):
-            k1 = np.asarray(sys.F(s), float)
-            k2 = np.asarray(sys.F(s + 0.5 * h_in * k1), float)
-            k3 = np.asarray(sys.F(s + 0.5 * h_in * k2), float)
-            k4 = np.asarray(sys.F(s + h_in * k3), float)
-            s = s + (h_in / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        s = rk4(sys.F, s, h_out, substeps)
         states[k + 1] = s
     return Trajectory(
         times=np.arange(n_out + 1, dtype=float) * h_out,
@@ -303,20 +368,15 @@ def lotka_volterra(a: float = 1.0, b: float = 1.0, c: float = 1.0, e: float = 1.
     f_minus = c)."""
 
     def F(s):
-        s = np.asarray(s, dtype=float)
-        x, y = s[..., 0], s[..., 1]
-        return np.stack([a * x - b * x * y, -c * y + e * x * y], axis=-1)
+        x, y = state_parts(s)
+        return pack(s, [a * x - b * x * y, -c * y + e * x * y])
 
     def jac(s):
-        s = np.asarray(s, dtype=float)
-        x, y = s[..., 0], s[..., 1]
-        row0 = np.stack([a - b * y, -b * x], axis=-1)
-        row1 = np.stack([e * y, e * x - c], axis=-1)
-        return np.stack([row0, row1], axis=-2)
+        x, y = state_parts(s)
+        return pack(s, [pack(s, [a - b * y, -b * x]), pack(s, [e * y, e * x - c])])
 
     def conserved(s):
-        s = np.asarray(s, dtype=float)
-        x, y = s[..., 0], s[..., 1]
+        x, y = state_parts(s)
         with np.errstate(divide="ignore"):
             return e * x - c * np.log(x) + b * y - a * np.log(y)
 
@@ -325,12 +385,10 @@ def lotka_volterra(a: float = 1.0, b: float = 1.0, c: float = 1.0, e: float = 1.
         dim=2,
         F=F,
         components=(
-            SystemComponent(form="product",
-                            f_plus=lambda s: a * np.ones_like(np.asarray(s, float)[..., 0]),
-                            f_minus=lambda s: b * np.asarray(s, float)[..., 1]),
-            SystemComponent(form="product",
-                            f_plus=lambda s: e * np.asarray(s, float)[..., 0],
-                            f_minus=lambda s: c * np.ones_like(np.asarray(s, float)[..., 1])),
+            SystemComponent(form="product", f_plus=lambda s: a,
+                            f_minus=lambda s: b * state_parts(s)[1]),
+            SystemComponent(form="product", f_plus=lambda s: e * state_parts(s)[0],
+                            f_minus=lambda s: c),
         ),
         jacobian=jac,
         conserved=conserved,
@@ -352,18 +410,22 @@ def sirs(beta: float = 0.3, gamma: float = 0.1, mu: float = 0.05, N: float = 1.0
     bN = beta / N
 
     def F(s):
-        s = np.asarray(s, dtype=float)
-        S, I, R = s[..., 0], s[..., 1], s[..., 2]
-        return np.stack([mu * R - bN * S * I, bN * S * I - gamma * I, gamma * I - mu * R], axis=-1)
+        S, I, R = state_parts(s)
+        return pack(s, [mu * R - bN * S * I, bN * S * I - gamma * I, gamma * I - mu * R])
 
     def jac(s):
-        s = np.asarray(s, dtype=float)
-        S, I = s[..., 0], s[..., 1]
-        one = np.ones_like(S)
-        row0 = np.stack([-bN * I, -bN * S, mu * one], axis=-1)
-        row1 = np.stack([bN * I, bN * S - gamma * one, 0.0 * one], axis=-1)
-        row2 = np.stack([0.0 * one, gamma * one, -mu * one], axis=-1)
-        return np.stack([row0, row1, row2], axis=-2)
+        S, I, _ = state_parts(s)
+        return pack(s, [pack(s, [-bN * I, -bN * S, mu]),
+                        pack(s, [bN * I, bN * S - gamma, 0.0]),
+                        pack(s, [0.0, gamma, -mu])])
+
+    def infections(s):
+        S, I, _ = state_parts(s)
+        return bN * S * I
+
+    def conserved(s):
+        S, I, R = state_parts(s)
+        return S + I + R
 
     i_star = N * (1.0 - gamma / beta) / (1.0 + gamma / mu)
     endemic = np.array([gamma * N / beta, i_star, gamma * i_star / mu])
@@ -373,18 +435,14 @@ def sirs(beta: float = 0.3, gamma: float = 0.1, mu: float = 0.05, N: float = 1.0
         dim=3,
         F=F,
         components=(
-            SystemComponent(form="affine",
-                            f_plus=lambda s: mu * np.asarray(s, float)[..., 2],
-                            f_minus=lambda s: -bN * np.asarray(s, float)[..., 1]),
-            SystemComponent(form="affine",
-                            f_plus=lambda s: bN * np.asarray(s, float)[..., 0] * np.asarray(s, float)[..., 1],
-                            f_minus=lambda s: -gamma * np.ones_like(np.asarray(s, float)[..., 1])),
-            SystemComponent(form="affine",
-                            f_plus=lambda s: gamma * np.asarray(s, float)[..., 1],
-                            f_minus=lambda s: -mu * np.ones_like(np.asarray(s, float)[..., 2])),
+            SystemComponent(form="affine", f_plus=lambda s: mu * state_parts(s)[2],
+                            f_minus=lambda s: -bN * state_parts(s)[1]),
+            SystemComponent(form="affine", f_plus=infections, f_minus=lambda s: -gamma),
+            SystemComponent(form="affine", f_plus=lambda s: gamma * state_parts(s)[1],
+                            f_minus=lambda s: -mu),
         ),
         jacobian=jac,
-        conserved=lambda s: np.asarray(s, float)[..., 0] + np.asarray(s, float)[..., 1] + np.asarray(s, float)[..., 2],
+        conserved=conserved,
         equilibria=(endemic,),
     )
 

@@ -12,10 +12,10 @@ import pytest
 from nsfd.analysis import (
     convergence_rates,
     elementary_stability_audit,
-    errata_entries,
     positivity_audit,
 )
 from nsfd.denominator import check_H_conditions, phi
+from nsfd.errata import errata_entries
 from nsfd.problems import get_problem, get_scheme, problem_names, scheme_bundles
 from nsfd.schemes import integrate
 from nsfd.systems import (

@@ -6,12 +6,12 @@ from nsfd.analysis import (
     EXACT_FLOOR,
     convergence_rates,
     elementary_stability_audit,
-    errata_entries,
     error_at_final,
     map_fixed_points,
     positivity_audit,
     rate_between,
 )
+from nsfd.errata import errata_entries
 from nsfd.errors import GridMismatch
 from nsfd.model import Trajectory
 from nsfd.problems import get_problem, get_scheme

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from nsfd.denominator import derived_denominator
 from nsfd.errors import (
     NegativeState,
+    NonPositiveStep,
     OracleSelfCheckFailed,
     ParameterOutOfRange,
     StepCountOverflow,
+    ZeroStepCount,
 )
 from nsfd.model import Representation, ScalarProblem, SchemeConfig, register_problem
 from nsfd.problems import _monod, get_problem, get_scheme
@@ -256,6 +258,18 @@ class TestIntegrate:
         with pytest.raises(StepCountOverflow):
             integrate(b.step, 0.5, 1e-9, 1e3)
 
+    @pytest.mark.parametrize("h", [0.0, -0.1, float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_or_nonpositive_step_rejected(self, h):
+        # before: nan died inside int(round(nan)), inf gave a one-point trajectory
+        with pytest.raises(NonPositiveStep):
+            integrate(get_scheme("logistic", "snsfd1").step, 0.5, h, 1.0)
+
+    def test_horizon_rounding_to_no_step_rejected(self):
+        step = get_scheme("logistic", "snsfd1").step
+        with pytest.raises(ZeroStepCount):
+            integrate(step, 0.5, 1.0, 0.3)
+        assert len(integrate(step, 0.5, 1.0, 0.0).times) == 1  # t_end = 0 asks for no step
+
     def test_determinism(self):
         b = get_scheme("logistic", "snsfd2")
         t1 = integrate(b.step, 0.5, 0.01, 1.0)
@@ -288,6 +302,14 @@ class TestReferenceSolution:
         # same name, new parameter: y = 0.5 is an equilibrium for mu = 3
         assert reference_value(_monod(), 0.5, 1.0) == pytest.approx(0.399919, abs=1e-6)
         assert reference_value(_monod(mu=3.0), 0.5, 1.0) == 0.5
+
+    @pytest.mark.parametrize("name, bits", [("sine", "0x1.f1ec578a30ca8p-1"),
+                                            ("monod", "0x1.99844e09daccbp-2")])
+    def test_errata_oracles_pinned(self, name, bits):
+        # the two errata oracles without a closed form, recorded with the
+        # scalar RK4 loop that the shared float RK4 replaced
+        traj = reference_solution(get_problem(name), 0.5, h_out=1.0, t_end=1.0, substeps=4000)
+        assert float(traj.states[-1]).hex() == bits
 
 
 class TestLocalOrder:

@@ -11,6 +11,7 @@ from nsfd.errors import JacobianMissing, NegativeState, NonPositiveStep
 from nsfd.problems import get_problem, get_scheme
 from nsfd.systems import (
     DEFAULT_STARTS,
+    NEAR_EQUILIBRIUM_EPS,
     validate_components,
     SystemComponent,
     SystemProblem,
@@ -127,6 +128,158 @@ class TestStepContract:
         integrate_system(system, cfg, DEFAULT_STARTS[name], 0.1, 1.0)
         system_nsfd_step(system, cfg, np.tile(DEFAULT_STARTS[name], (5, 1)), 0.1)
         assert calls == {"F": 11, "J": 11 if order2 else 0}
+
+
+def _bits(state) -> list[str]:
+    return [float(v).hex() for v in np.asarray(state, dtype=float).ravel()]
+
+
+def _near(state, rel):
+    """``state`` scaled componentwise by 1 + rel (|rel| ~ 1e-11), so that
+    0 < |F_i| <= NEAR_EQUILIBRIUM_EPS at an equilibrium."""
+    return np.asarray(state, dtype=float) * (1.0 + np.asarray(rel))
+
+
+component_values = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 10.0),
+    st.floats(0.0, 1e6),
+    st.floats(1e-300, 1e-6),
+)
+
+
+@st.composite
+def system_states(draw):
+    """(system name, state): equilibria and states a few ulps off them
+    (|F_i| at or below NEAR_EQUILIBRIUM_EPS), random states up to 1e6, and
+    any of them with some components zeroed."""
+    name = draw(st.sampled_from(["lv", "sirs"]))
+    system = get_system(name)
+    kind = draw(st.sampled_from(["equilibrium", "near", "random"]))
+    if kind == "random":
+        state = np.array(draw(st.lists(component_values, min_size=system.dim,
+                                       max_size=system.dim)))
+    else:
+        state = np.array(draw(st.sampled_from(system.equilibria)), dtype=float)
+        if kind == "near":
+            state = _near(state, draw(st.lists(st.floats(-1e-11, 1e-11), min_size=system.dim,
+                                               max_size=system.dim)))
+    zeros = draw(st.lists(st.booleans(), min_size=system.dim, max_size=system.dim))
+    return name, np.where(zeros, 0.0, state)
+
+
+step_sizes = st.one_of(st.floats(1e-8, 1e-2), st.floats(1e-2, 10.0), st.floats(10.0, 1e6))
+
+
+class TestFloatPath:
+    @settings(max_examples=600, deadline=None)
+    @given(case=system_states(), order2=st.booleans(), h=step_sizes)
+    def test_float_path_is_bit_identical_to_one_lane_array_path(self, case, order2, h):
+        name, state = case
+        system = get_system(name)
+        cfg = _config(system, order2)
+        out = system_nsfd_step(system, cfg, state, h)
+        lane = system_nsfd_step(system, cfg, state[None, :], h)[0]
+        assert isinstance(out, np.ndarray) and out.shape == (system.dim,)
+        assert _bits(out) == _bits(lane)
+
+    @pytest.mark.parametrize("name", ["lv", "sirs"])
+    @pytest.mark.parametrize("order2", [True, False])
+    def test_trajectories_match_one_lane_runs(self, name, order2):
+        # whole runs, where a last-bit difference in a rate would show
+        system = get_system(name)
+        cfg = _config(system, order2)
+        for h in (0.05, 0.7, 1.0, 5.0):
+            traj = integrate_system(system, cfg, DEFAULT_STARTS[name], h, 200 * h)
+            lane = np.array([DEFAULT_STARTS[name]], dtype=float)
+            for state in traj.states[1:]:
+                lane = system_nsfd_step(system, cfg, lane, h)
+                assert _bits(state) == _bits(lane[0]), h
+
+    def test_cases_reach_the_delicate_branches(self):
+        # the property above covers the near-equilibrium switch and the clamp
+        for name in ("lv", "sirs"):
+            system = get_system(name)
+            cfg = second_order_config(system)
+            near = tuple(_near(system.equilibria[-1], [1e-11, -3e-12, 2e-12][:system.dim]).tolist())
+            F = system.F(near)
+            assert any(0.0 < abs(F_i) <= NEAR_EQUILIBRIUM_EPS for F_i in F)
+            x = tuple(float(v) for v in DEFAULT_STARTS[name])
+            lams = second_order_rates(system.F(x), system.jacobian(x), system.affine_parts(x)[1],
+                                      cfg.betas)
+            assert max(abs(1e3 * lam) for lam in lams) > 4.0  # KERNEL_ARG_CLAMP at h = 1e3
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(["lv", "sirs"]), order2=st.booleans(),
+           h=st.one_of(bad_steps, st.floats(1e-3, 10.0)),
+           odd=st.one_of(st.none(), st.floats(-1e6, -1e-300),
+                         st.sampled_from([-math.inf, math.inf, math.nan])),
+           data=st.data())
+    def test_both_paths_raise_alike(self, name, order2, h, odd, data):
+        # a finite negative component raises NegativeState; non-finite ones
+        # pass the guard on both paths and give the same inf/nan bits
+        system = get_system(name)
+        cfg = _config(system, order2)
+        state = np.array(DEFAULT_STARTS[name], dtype=float)
+        if odd is not None:
+            state[data.draw(st.integers(0, system.dim - 1))] = odd
+
+        def outcome(x):
+            try:
+                with np.errstate(all="ignore"):
+                    return _bits(system_nsfd_step(system, cfg, x, h))
+            except (NegativeState, NonPositiveStep) as exc:
+                return type(exc)
+
+        single, lane = outcome(state), outcome(state[None, :])
+        if odd is not None and math.isfinite(odd):
+            assert single is NegativeState
+        elif not 0.0 < h < math.inf:
+            assert single is NonPositiveStep
+        assert single == lane
+
+    @pytest.mark.parametrize("name", ["lv", "sirs"])
+    @pytest.mark.parametrize("order2", [True, False])
+    def test_one_F_and_one_J_call_on_floats(self, name, order2):
+        base = get_system(name)
+        seen = []
+
+        def logged(key, fn):
+            def wrapped(s):
+                seen.append((key, type(s)))
+                return fn(s)
+            return wrapped
+
+        system = replace(base, F=logged("F", base.F), jacobian=logged("J", base.jacobian))
+        system_nsfd_step(system, _config(system, order2), np.array(DEFAULT_STARTS[name]), 0.1)
+        assert seen == [("F", tuple)] + ([("J", tuple)] if order2 else [])
+
+    def test_float_arithmetic_errors_rerun_on_the_array_path(self):
+        # a component with the wrong sign of f_minus makes the denominator
+        # 1 - h*beta*f_minus exactly 0 at h = 1: floats raise, numpy gives inf
+        bad = SystemProblem(
+            name="bad-sign", dim=1,
+            F=lambda s: s,
+            components=(SystemComponent(form="affine", f_plus=lambda s: 0.0,
+                                        f_minus=lambda s: 1.0),),
+        )
+        cfg = plain_config(bad)
+        with np.errstate(divide="ignore"):
+            out = system_nsfd_step(bad, cfg, np.array([2.0]), 1.0)
+            lane = system_nsfd_step(bad, cfg, np.array([[2.0]]), 1.0)[0]
+        assert _bits(out) == _bits(lane) == [math.inf.hex()]
+
+
+class TestReferenceSystemSolution:
+    @pytest.mark.parametrize("name, bits", [
+        ("lv", ["0x1.35c502666f2e9p-2", "0x1.0fe0e0627556ap+0"]),
+        ("sirs", ["0x1.05e841214c348p-1", "0x1.4507e30b03144p-2", "0x1.5e4f3564c8f69p-3"]),
+    ])
+    def test_criterion_7_oracle_final_states_pinned(self, name, bits):
+        # recorded with the array-based RK4 loop this oracle replaced
+        ref = reference_system_solution(get_system(name), DEFAULT_STARTS[name], h_out=10.0,
+                                        t_end=10.0, substeps=40_000)
+        assert _bits(ref.final_state) == bits
 
 
 class TestConfigs:
