@@ -142,63 +142,55 @@ def positivity_audit(
     n_steps: int,
     paired: bool = False,
 ) -> PositivityReport:
-    """Batched positivity check.
+    """Batched positivity check, all trajectories in one batch.
 
     With ``paired=False`` every (y0, h) combination is run; with
     ``paired=True`` the two sample arrays have equal length and the i-th
-    start is advanced with the i-th step size, all lanes at once.
-    Trajectories that leave the float range (genuinely divergent dynamics)
-    are frozen and counted; they never count as negative unless a negative
-    value actually appeared.
+    start is advanced with the i-th step size. Either way each lane carries
+    its own step size. Trajectories that leave the float range (genuinely
+    divergent dynamics) are frozen at their last finite state and counted;
+    each iterate of a lane counts as negative at most once, and only while
+    the lane is finite.
     """
-    y0s = np.asarray(y0_samples, dtype=float)
+    y0s = np.atleast_1d(np.asarray(y0_samples, dtype=float))
     hs = np.atleast_1d(np.asarray(h_samples, dtype=float))
-    n_lanes = y0s.shape[0] if y0s.ndim else 1
-    if paired:
-        # per-lane step sizes; component ops reduce the state axis, so the
-        # h array always has the lane shape
-        batches = [(y0s, hs)]
-        n_traj = n_lanes
-    else:
-        batches = [(y0s, float(h)) for h in hs]
-        n_traj = n_lanes * hs.size
+    if not paired:
+        # the cross product as lanes, step sizes outermost
+        starts = np.tile(np.arange(y0s.shape[0]), hs.size)
+        hs = np.repeat(hs, y0s.shape[0])
+        y0s = y0s[starts]
     min_state = float(np.min(y0s)) if y0s.size else 0.0
     negative = 0
-    diverged = 0
-    for y0_batch, h in batches:
-        y = np.atleast_1d(y0_batch.copy())
-        alive = np.ones(y.shape[0], dtype=bool)
-        for _ in range(n_steps):
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    y_next = np.asarray(step.update(y, h), dtype=float)
-            except NegativeState:
-                # a previous iterate already left the nonnegative orthant
-                negative = max(negative, 1)
-                break
-            bad = ~np.isfinite(y_next)
-            if bad.ndim > 1:
-                bad = bad.any(axis=-1)
-            if np.any(bad & alive):
-                alive &= ~bad
-                y_next = np.where((bad[:, None] if y.ndim > 1 else bad), y, y_next)
-            finite = y_next[np.isfinite(y_next)]
-            if finite.size:
-                finite_min = float(np.min(finite))
-                if finite_min < min_state:
-                    min_state = finite_min
-                negative += int(np.sum(finite < 0.0))
-            y = y_next
-            if not np.any(alive):
-                break
-        diverged += int(np.sum(~alive))
+    y = y0s
+    alive = np.ones(y.shape[0], dtype=bool)
+    for _ in range(n_steps):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                y_next = np.asarray(step.update(y, hs), dtype=float)
+        except NegativeState:
+            # a previous iterate already left the nonnegative orthant
+            negative = max(negative, 1)
+            break
+        bad = ~np.isfinite(y_next)
+        if bad.ndim > 1:
+            bad = bad.any(axis=-1)
+        if np.any(bad):
+            alive &= ~bad
+            y_next = np.where((alive[:, None] if y.ndim > 1 else alive), y_next, y)
+        live = y_next[alive]
+        if live.size:
+            min_state = min(min_state, float(np.min(live)))
+            negative += int(np.count_nonzero(live < 0.0))
+        y = y_next
+        if not np.any(alive):
+            break
     return PositivityReport(
         scheme_label=step.label,
-        n_trajectories=int(n_traj),
+        n_trajectories=int(y.shape[0]),
         n_steps=n_steps,
         min_state=min_state,
         negative_count=negative,
-        diverged_count=diverged,
+        diverged_count=int(np.count_nonzero(~alive)),
     )
 
 

@@ -230,7 +230,7 @@ def cmd_audit(args) -> int:
         for label, bundle in sorted(scheme_bundles(pname).items()):
             in_family = (bundle.rep is not None and bundle.config is not None
                          and bundle.spec is not None and bundle.config.weights_admissible)
-            if in_family and bundle.spec.kind != "custom":
+            if in_family:
                 conditions = check_H_conditions(problem, bundle.rep, bundle.config, bundle.spec)
                 print(f"[conditions] {pname}/{label}: {'pass' if conditions.passed else 'fail'}")
                 # non-derived denominators are expected to miss H3; only a

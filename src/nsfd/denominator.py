@@ -1,18 +1,22 @@
 """Denominator functions phi(h, y) and the conditions they must satisfy.
 
-The workhorse is the kernel phim(x) = (1 - exp(-x))/x, so that
+The workhorse is the kernel phim(x) = (1 - exp(-x))/x. Every denominator is
+built one way, from a rate function lam(y):
 
     phi(h, y) = h * phim(h * lam(y))
 
-with lam(y) = -f'(y) + 2*beta*f_minus(y). Built this way, phi is positive
-for every h > 0 regardless of the sign of lam, equals h + O(h^2) as h -> 0,
-and its second h-derivative at 0 is -lam(y) = f'(y) - 2*beta*f_minus(y),
-which is exactly the second-order accuracy condition (H3).
+Built this way, phi is positive for every h > 0 whatever the sign of lam,
+equals h + O(h^2) as h -> 0, and its second h-derivative at 0 is exactly
+-lam(y). The derived rate lam(y) = -f'(y) + 2*beta*f_minus(y) therefore
+meets the second-order accuracy condition (H3), d2phi/dh2(0, y) =
+f'(y) - 2*beta*f_minus(y), and ``check_H_conditions`` checks H3 in closed
+form by comparing -lam with that target. A state-independent denominator is
+a constant rate (``constant_rate``).
 
-Several of the denominators printed in the source material satisfy the
-negated condition d2phi/dh2(0, y) = -(f' - 2*beta*f_minus) instead; those
-variants are kept available (they are what the errata report measures)
-but every scheme labeled "derived" uses the construction above.
+Several of the denominators printed in the source material use rates that
+satisfy the negated condition d2phi/dh2(0, y) = -(f' - 2*beta*f_minus)
+instead; those variants are kept available (they are what the errata report
+measures) but every scheme labeled "derived" uses the derived rate.
 
 ``phi`` and the rate functions of ``lambda_from_scheme`` take a float path
 when the step size and the state are Python floats, and stay vectorised
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -41,6 +45,10 @@ ARG_FLOOR = -700.0
 
 #: default step sizes probed by the stability condition (H2)
 H2_PROBES = (0.1, 1.0, 10.0, 100.0)
+
+#: relative tolerance of the closed-form H3 identity: a rate written
+#: differently from the derived one may differ from it by rounding only
+H3_RTOL = 1e-12
 
 
 def phim(x):
@@ -71,29 +79,14 @@ def phim(x):
 
 @dataclass(frozen=True)
 class DenominatorSpec:
-    """A denominator function family.
+    """The denominator h * phim(h * lambda_fn(y)) of a rate function.
 
-    kind "eq17" evaluates h * phim(h * lambda_fn(y)); "constant_rate" is the
-    state-independent special case h * phim(h * rate) (rate may be negative,
-    e.g. the exact logistic denominator (exp(2h) - 1)/2 has rate -2);
-    "custom" delegates to ``phi_fn(h, y)`` unchanged.
+    ``lambda_fn`` may return a negative rate (e.g. the exact logistic
+    denominator (exp(2h) - 1)/2 has rate -2).
     """
 
-    kind: str  # "eq17" | "constant_rate" | "custom"
-    lambda_fn: Optional[Callable] = None
-    rate: Optional[float] = None
-    phi_fn: Optional[Callable] = None
+    lambda_fn: Callable
     label: str = ""
-
-    def __post_init__(self):
-        if self.kind == "eq17" and self.lambda_fn is None:
-            raise ValueError("eq17 denominator needs lambda_fn")
-        if self.kind == "constant_rate" and self.rate is None:
-            raise ValueError("constant_rate denominator needs rate")
-        if self.kind == "custom" and self.phi_fn is None:
-            raise ValueError("custom denominator needs phi_fn")
-        if self.kind not in ("eq17", "constant_rate", "custom"):
-            raise ValueError(f"unknown denominator kind {self.kind!r}")
 
 
 def _as_float_array(v) -> np.ndarray:
@@ -134,48 +127,29 @@ def derived_denominator(
 ) -> DenominatorSpec:
     """The order-2 denominator induced by a representation and weight beta."""
     return DenominatorSpec(
-        kind="eq17",
         lambda_fn=lambda_from_scheme(problem, rep, beta),
         label=label or f"derived(beta={beta:g})",
     )
 
 
 def constant_rate(rate: float, label: str = "") -> DenominatorSpec:
-    return DenominatorSpec(kind="constant_rate", rate=rate, label=label or f"rate({rate:g})")
+    """The state-independent denominator h * phim(h * rate)."""
+    return DenominatorSpec(lambda_fn=lambda y: rate, label=label or f"rate({rate:g})")
 
 
 def phi(spec: DenominatorSpec, h, y):
     """Evaluate the denominator at step size h > 0 and state y.
 
     ``h`` may be an array broadcastable against ``y`` (used by batched
-    property audits where every trajectory carries its own step size).
-    Raises NonPositiveStep unless every h is finite and > 0. When ``h`` and
-    ``y`` are Python floats the eq17 and constant-rate kinds return a Python
-    float, bit-identical to the array result at that state.
+    property audits where every trajectory carries its own step size). The
+    result broadcasts against ``y``: a constant rate with a scalar ``h``
+    gives one value for every ``y``. Raises NonPositiveStep unless every h
+    is finite and > 0. When ``h`` and ``y`` are Python floats the result is
+    a Python float, bit-identical to the array result at that state.
     """
     check_step(h)
-    scalar = is_float_step(y, h)
-    if spec.kind == "eq17":
-        values = float if scalar else _as_float_array
-        return h * phim(h * values(spec.lambda_fn(y)))
-    if spec.kind == "constant_rate":
-        val = h * phim(h * spec.rate)
-        if not scalar and np.ndim(val) == 0 and np.ndim(y) != 0:
-            return np.full(np.shape(y), val)
-        return val
-    return spec.phi_fn(h, y)
-
-
-def _second_h_derivative_at_zero(spec: DenominatorSpec, y: float, scale: float) -> float:
-    """d2phi/dh2(0, y) by one-sided second differences with two Richardson
-    levels; phi(0, y) = 0 by consistency so only positive steps are used."""
-    h0 = 1e-3 / (1.0 + abs(scale))
-
-    def d2(h):
-        return (float(phi(spec, 2.0 * h, y)) - 2.0 * float(phi(spec, h, y))) / (h * h)
-
-    r = lambda h: 2.0 * d2(h / 2.0) - d2(h)  # noqa: E731
-    return (4.0 * r(h0 / 2.0) - r(h0)) / 3.0
+    values = float if is_float_step(y, h) else _as_float_array
+    return h * phim(h * values(spec.lambda_fn(y)))
 
 
 @dataclass(frozen=True)
@@ -213,10 +187,11 @@ def check_H_conditions(
     """Audit the four conditions (H1)-(H4) under which the weighted scheme
     is positive, elementary stable and second-order accurate.
 
-    H1 and H3 are sampled over the domain window; H2 is probed at the stable
-    equilibria over ``H2_PROBES`` (vacuously true where the bracket
-    2*beta*f_minus - f' is nonpositive); H4 is exact arithmetic on the
-    weights.
+    H1 and H3 are sampled over the domain window, H3 as the closed-form
+    identity -lam(y) = f'(y) - 2*beta*f_minus(y) to ``H3_RTOL``; H2 is
+    probed at the stable equilibria over ``H2_PROBES`` (vacuously true where
+    the bracket 2*beta*f_minus - f' is nonpositive); H4 is exact arithmetic
+    on the weights.
     """
     lo, hi = problem.domain_hint
     ys = np.linspace(max(lo, 0.0), hi, n_y)
@@ -259,18 +234,14 @@ def check_H_conditions(
                 h2 = False
                 notes.append(f"H2: fails at y* = {eq.y_star:.6g}, h = {h:g} (phi*bracket = {lhs:.6g})")
 
-    # H3: d2phi/dh2(0, y) = f'(y) - 2*beta*f_minus(y) on samples
-    h3 = True
-    worst, worst_y = 0.0, float(ys[0])
-    for y in ys:
-        target = float(problem.df(y)) - 2.0 * config.beta * float(rep.f_minus(y))
-        est = _second_h_derivative_at_zero(spec, float(y), target)
-        err = abs(est - target) / (1.0 + abs(target))
-        if err > worst:
-            worst, worst_y = err, float(y)
-    if worst > 1e-4:
-        h3 = False
-        notes.append(f"H3: d2phi/dh2(0, y) mismatch, relative error {worst:.3e} at y = {worst_y:.6g}")
+    # H3: d2phi/dh2(0, y) = -lam(y) exactly, so H3 is the identity
+    # -lam(y) = f'(y) - 2*beta*f_minus(y), checked on the samples
+    target = _as_float_array(problem.df(ys)) - 2.0 * config.beta * _as_float_array(rep.f_minus(ys))
+    err = np.abs(-_as_float_array(spec.lambda_fn(ys)) - target) / (1.0 + np.abs(target))
+    worst = int(np.argmax(err))
+    h3 = bool(err[worst] <= H3_RTOL)
+    if not h3:
+        notes.append(f"H3: d2phi/dh2(0, y) mismatch, relative error {err[worst]:.3e} at y = {ys[worst]:.6g}")
 
     # H4: exact arithmetic on the weights
     h4 = config.weights_admissible

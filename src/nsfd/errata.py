@@ -125,7 +125,7 @@ def _printed_snsfd2_rates() -> RateTable:
     problem = get_problem("logistic")
     bundle = get_scheme("logistic", "snsfd2")
     printed_lambda = lambda y: 2.0 + 3.0 * np.asarray(y, dtype=float)  # noqa: E731
-    spec = DenominatorSpec(kind="eq17", lambda_fn=printed_lambda,
+    spec = DenominatorSpec(lambda_fn=printed_lambda,
                            label="(1 - e^{-(2+3y)h})/(2+3y) as printed")
     step = nsfd_step_map(problem, bundle.rep, bundle.config, spec, label="snsfd2-printed")
     return convergence_rates(problem, step, (1e-1, 1e-2, 1e-3), 1.0, 0.5)

@@ -37,6 +37,10 @@ class StepCountOverflow(NsfdError):
     """Integration would require an unreasonable number of steps."""
 
 
+class BadHorizon(NsfdError):
+    """Integration horizon t_end must be finite and >= 0."""
+
+
 class ZeroStepCount(NsfdError):
     """A positive integration horizon rounds to no step at the given h."""
 

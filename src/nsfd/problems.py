@@ -253,7 +253,7 @@ def _sine_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
         ),
         "nsfd-printed": _family_bundle(
             p, "nsfd-printed", rep, beta=1.0,
-            spec=DenominatorSpec(kind="eq17", lambda_fn=printed_lambda,
+            spec=DenominatorSpec(lambda_fn=printed_lambda,
                                  label="lambda = pi cos(pi y) - 2 pi as printed"),
             description="same scheme with the printed rate lambda = pi cos(pi y) - 2 pi",
         ),
@@ -281,7 +281,7 @@ def _monod_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
         ),
         "nsfd-printed": _family_bundle(
             p, "nsfd-printed", rep, beta=1.0,
-            spec=DenominatorSpec(kind="eq17", lambda_fn=printed_rate,
+            spec=DenominatorSpec(lambda_fn=printed_rate,
                                  label="R(y) = (mu+1)(1+3y)/(1+y) as printed"),
             description="same scheme with the printed state-dependent rate R(y)",
         ),

@@ -28,6 +28,7 @@ ufuncs do, while Python's ``**`` on floats rounds differently from
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -36,6 +37,7 @@ import numpy as np
 
 from .denominator import DenominatorSpec, check_step, is_float_step, phi, phim
 from .errors import (
+    BadHorizon,
     NegativeState,
     OracleSelfCheckFailed,
     ParameterOutOfRange,
@@ -248,14 +250,20 @@ def integrate(
 ) -> Trajectory:
     """Fold a step map from t = 0 to t_end at fixed step h.
 
-    h must be finite and > 0 (NonPositiveStep otherwise). t_end is rounded
-    to a whole number of steps (with a warning when the rounding is not
-    exact); a t_end > 0 that rounds to no step at all raises ZeroStepCount.
+    h must be finite and > 0 (NonPositiveStep otherwise) and t_end finite
+    and >= 0 (BadHorizon otherwise). t_end is rounded to a whole number of
+    steps (with a warning when the rounding is not exact); a t_end > 0 that
+    rounds to no step at all raises ZeroStepCount, and t_end = 0 gives the
+    one-point trajectory.
     """
     check_step(h)
-    n = int(round(t_end / h))
-    if n > MAX_STEPS:
-        raise StepCountOverflow(f"{t_end}/{h} needs {n} steps (limit {MAX_STEPS})")
+    if not 0.0 <= t_end < math.inf:
+        raise BadHorizon(f"t_end = {t_end!r} must be finite and >= 0")
+    steps = t_end / h
+    # rounds above MAX_STEPS; also catches a quotient that overflows to inf
+    if not steps <= MAX_STEPS + 0.5:
+        raise StepCountOverflow(f"{t_end}/{h} needs {steps:.6g} steps (limit {MAX_STEPS})")
+    n = int(round(steps))
     if n == 0 and t_end > 0.0:
         raise ZeroStepCount(f"t_end = {t_end} rounds to zero steps of h = {h}")
     if abs(n * h - t_end) > 1e-9 * max(1.0, abs(t_end)):

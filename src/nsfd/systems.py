@@ -265,7 +265,15 @@ def system_step_map(sys: SystemProblem, cfg: SystemSchemeConfig) -> StepMap:
 
 
 def euler_system_map(sys: SystemProblem) -> StepMap:
-    return StepMap(label="euler", update=lambda s, h: np.asarray(s, float) + h * np.asarray(sys.F(s), float))
+    """Explicit Euler control; like ``system_nsfd_step`` it takes one step
+    size for all states or one per state (``h`` of shape (...,))."""
+
+    def update(s, h):
+        if np.ndim(h):
+            h = np.asarray(h, dtype=float)[..., None]
+        return np.asarray(s, float) + h * np.asarray(sys.F(s), float)
+
+    return StepMap(label="euler", update=update)
 
 
 def integrate_system(

@@ -16,6 +16,7 @@ from nsfd.errors import GridMismatch
 from nsfd.model import Trajectory
 from nsfd.problems import get_problem, get_scheme
 from nsfd.schemes import StepMap
+from nsfd.systems import euler_system_map, get_system, second_order_config, system_step_map
 
 mp.mp.dps = 50
 
@@ -102,6 +103,36 @@ class TestPositivityAudit:
         report = positivity_audit(b.step, [4.0], [1.0], n_steps=5)
         assert not report.passed
         assert report.min_state < 0.0
+
+    @pytest.mark.parametrize("case", ["logistic-snsfd1", "lv-nsfd2", "logistic-euler", "lv-euler"])
+    def test_unpaired_is_paired_on_the_cross_product(self, case):
+        if case.startswith("lv"):
+            lv = get_system("lv")
+            step = (euler_system_map(lv) if case == "lv-euler"
+                    else system_step_map(lv, second_order_config(lv)))
+            y0s = np.array([[2.0, 0.5], [1.0, 3.0], [0.0, 4.0]])
+        else:
+            step = get_scheme("logistic", case.split("-")[1]).step
+            y0s = np.array([0.0, 0.5, 4.0, 9.0])
+        hs = np.array([0.1, 0.9, 10.0])
+        unpaired = positivity_audit(step, y0s, hs, n_steps=60)
+        cross_y0s = np.concatenate([y0s] * hs.size)
+        cross_hs = np.repeat(hs, len(y0s))
+        assert unpaired == positivity_audit(step, cross_y0s, cross_hs, n_steps=60, paired=True)
+        assert unpaired.n_trajectories == len(y0s) * hs.size
+        assert unpaired.passed == (not case.endswith("euler"))
+        # every finite iterate counted once, lane by lane, until the lane diverges
+        negative = 0
+        for h in hs:
+            for y0 in y0s:
+                y = y0
+                for _ in range(60):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        y = np.asarray(step.update(y, float(h)), dtype=float)
+                    if not np.all(np.isfinite(y)):
+                        break
+                    negative += int(np.count_nonzero(y < 0.0))
+        assert unpaired.negative_count == negative
 
     def test_paired_mode_counts_lanes(self):
         b = get_scheme("logistic", "snsfd1")

@@ -15,7 +15,7 @@ from nsfd.denominator import (
 )
 from nsfd.errors import NonPositiveStep
 from nsfd.model import SchemeConfig
-from nsfd.problems import get_problem, get_scheme
+from nsfd.problems import get_problem, get_scheme, problem_names, scheme_bundles
 
 mp.mp.dps = 50
 
@@ -83,7 +83,7 @@ class TestLambdaFromScheme:
 
 class TestPhi:
     def test_zero_rate_gives_h(self):
-        spec = DenominatorSpec(kind="eq17", lambda_fn=lambda y: 0.0 * np.asarray(y, float))
+        spec = DenominatorSpec(lambda_fn=lambda y: 0.0 * np.asarray(y, float))
         assert float(phi(spec, 0.3, 1.0)) == pytest.approx(0.3, rel=1e-15)
 
     def test_exact_logistic_denominator(self):
@@ -128,15 +128,32 @@ class TestPhi:
         np.testing.assert_allclose(vals, expect, rtol=1e-15)
 
 
+def second_h_derivative_at_zero(spec, y: float, scale: float) -> float:
+    """d2phi/dh2(0, y) by one-sided second differences of ``phi`` with two
+    Richardson levels; phi(0, y) = 0, so only positive steps are used."""
+    h0 = 1e-3 / (1.0 + abs(scale))
+
+    def d2(h):
+        return (float(phi(spec, 2.0 * h, y)) - 2.0 * float(phi(spec, h, y))) / (h * h)
+
+    def r(h):
+        return 2.0 * d2(h / 2.0) - d2(h)
+
+    return (4.0 * r(h0 / 2.0) - r(h0)) / 3.0
+
+
 class TestSecondDerivativeProperty:
     def test_eq17_second_derivative_is_minus_lambda(self):
-        b = get_scheme("logistic", "snsfd1")
-        from nsfd.denominator import _second_h_derivative_at_zero
-
-        for y in (0.0, 0.5, 2.0, 5.0, 10.0):
-            lam = float(b.spec.lambda_fn(y))
-            est = _second_h_derivative_at_zero(b.spec, y, lam)
-            assert est == pytest.approx(-lam, rel=1e-4, abs=1e-8)
+        # an independent check of the kernel behind the closed-form H3:
+        # every registry denominator has d2phi/dh2(0, y) = -lam(y)
+        specs = [(p, label, b.spec) for p in problem_names()
+                 for label, b in scheme_bundles(p).items() if b.spec is not None]
+        assert len(specs) == 14
+        for p, label, spec in specs:
+            for y in (0.0, 0.5, 2.0, 5.0, 10.0):
+                lam = float(spec.lambda_fn(y))
+                est = second_h_derivative_at_zero(spec, y, lam)
+                assert est == pytest.approx(-lam, rel=1e-4, abs=1e-8), (p, label, y)
 
 
 class TestCheckHConditions:
@@ -151,6 +168,16 @@ class TestCheckHConditions:
         report = check_H_conditions(get_problem("logistic"), b.rep, b.config, b.spec)
         assert not report.h3
         assert not report.h4  # alpha = 1 lies outside the admissible weights
+
+    def test_equal_rate_written_differently_passes_h3(self):
+        # snsfd1's derived rate -f' + 2*beta*f_minus, written out by hand;
+        # the two forms differ by rounding only
+        b = get_scheme("logistic", "snsfd1")
+        spec = DenominatorSpec(lambda_fn=lambda y: -2.0 - 0.5 * np.asarray(y, float))
+        report = check_H_conditions(get_problem("logistic"), b.rep, b.config, spec)
+        assert report.h3, str(report)
+        off = DenominatorSpec(lambda_fn=lambda y: -2.0 - 0.5 * (1.0 + 1e-9) * np.asarray(y, float))
+        assert not check_H_conditions(get_problem("logistic"), b.rep, b.config, off).h3
 
     def test_half_half_weights_fail_h4(self):
         b = get_scheme("logistic", "snsfd1")
@@ -185,13 +212,3 @@ def test_derived_denominator_labels():
                                get_scheme("logistic", "snsfd1").rep, 1.25)
     assert "derived" in spec.label
 
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        DenominatorSpec(kind="eq17")
-    with pytest.raises(ValueError):
-        DenominatorSpec(kind="constant_rate")
-    with pytest.raises(ValueError):
-        DenominatorSpec(kind="custom")
-    with pytest.raises(ValueError):
-        DenominatorSpec(kind="bogus", rate=1.0)

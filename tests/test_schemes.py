@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from nsfd.denominator import derived_denominator
 from nsfd.errors import (
+    BadHorizon,
     NegativeState,
     NonPositiveStep,
     OracleSelfCheckFailed,
@@ -269,6 +271,29 @@ class TestIntegrate:
         with pytest.raises(ZeroStepCount):
             integrate(step, 0.5, 1.0, 0.3)
         assert len(integrate(step, 0.5, 1.0, 0.0).times) == 1  # t_end = 0 asks for no step
+
+    @settings(max_examples=200, deadline=None)
+    @given(t_end=st.one_of(st.floats(max_value=-0.0, exclude_max=True),
+                           st.sampled_from([math.nan, math.inf, -math.inf, -0.04, -0.3])),
+           h=st.floats(1e-300, 1e300))
+    def test_bad_horizon_rejected(self, t_end, h):
+        # before: nan and inf died in int(round(.)), -0.3 in np.empty, -0.04 gave one point
+        with pytest.raises(BadHorizon):
+            integrate(get_scheme("logistic", "snsfd1").step, 0.5, h, t_end)
+
+    @settings(max_examples=100, deadline=None)
+    @given(t_end=st.floats(1e9, 1.7e308), h=st.floats(1e-300, 1.0))
+    def test_huge_horizon_overflows_step_count(self, t_end, h):
+        # t_end / h may itself overflow to inf
+        with pytest.raises(StepCountOverflow):
+            integrate(get_scheme("logistic", "snsfd1").step, 0.5, h, t_end)
+
+    @settings(max_examples=50, deadline=None)
+    @given(h=st.floats(1e-300, 1e300))
+    def test_zero_horizon_is_one_point(self, h):
+        for t_end in (0.0, -0.0):
+            traj = integrate(get_scheme("logistic", "snsfd1").step, 0.5, h, t_end)
+            assert traj.states.tolist() == [0.5]
 
     def test_determinism(self):
         b = get_scheme("logistic", "snsfd2")

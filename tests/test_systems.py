@@ -349,6 +349,16 @@ class TestSecondOrderDenominators:
 
 
 class TestPositivityContrast:
+    def test_euler_per_lane_step_sizes_match_single_states(self):
+        lv = get_system("lv")
+        update = euler_system_map(lv).update
+        lanes = np.array([[2.0, 0.5], [1.0, 3.0], [0.3, 7.0]])
+        hs = np.array([0.1, 0.9, 2.5])
+        batched = update(lanes, hs)
+        singles = np.array([update(lane, float(h)) for lane, h in zip(lanes, hs)])
+        assert np.array_equal(batched, singles)
+        assert batched[1, 0] == -0.8  # the control's negative iterate shows
+
     def test_lv_nsfd_nonnegative_where_euler_fails(self):
         lv = get_system("lv")
         euler = positivity_audit(euler_system_map(lv), np.array([[2.0, 0.5]]), [0.9], n_steps=50)
