@@ -9,7 +9,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .denominator import DenominatorSpec, phi
-from .errors import GridMismatch, NegativeState
+from .errors import GridMismatch, NegativeState, SampleMismatch
 from .model import Representation, ScalarProblem, SchemeConfig, Trajectory
 from .rootfind import scan_zeros
 from .schemes import StepMap, integrate, nsfd_step, reference_value
@@ -145,15 +145,18 @@ def positivity_audit(
     """Batched positivity check, all trajectories in one batch.
 
     With ``paired=False`` every (y0, h) combination is run; with
-    ``paired=True`` the two sample arrays have equal length and the i-th
-    start is advanced with the i-th step size. Either way each lane carries
-    its own step size. Trajectories that leave the float range (genuinely
+    ``paired=True`` the i-th start is advanced with the i-th step size
+    (SampleMismatch unless there is exactly one step size per start).
+    Either way each lane carries its own step size. Trajectories that leave the float range (genuinely
     divergent dynamics) are frozen at their last finite state and counted;
     each iterate of a lane counts as negative at most once, and only while
     the lane is finite.
     """
     y0s = np.atleast_1d(np.asarray(y0_samples, dtype=float))
     hs = np.atleast_1d(np.asarray(h_samples, dtype=float))
+    if paired and hs.shape != y0s.shape[:1]:
+        raise SampleMismatch(f"paired mode needs one step size per start: got step sizes "
+                             f"of shape {hs.shape} for {y0s.shape[0]} starts")
     if not paired:
         # the cross product as lanes, step sizes outermost
         starts = np.tile(np.arange(y0s.shape[0]), hs.size)

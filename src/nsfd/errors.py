@@ -45,6 +45,10 @@ class ZeroStepCount(NsfdError):
     """A positive integration horizon rounds to no step at the given h."""
 
 
+class SampleMismatch(NsfdError):
+    """Paired samples need exactly one step size per start."""
+
+
 class OracleSelfCheckFailed(NsfdError):
     """High-order reference integrator disagrees with a known exact solution."""
 

@@ -163,22 +163,17 @@ def _family_bundle(
     rep: Representation,
     beta: float,
     spec: DenominatorSpec,
-    positive: bool = True,
-    stable: bool = True,
     description: str = "",
-    alpha: Optional[float] = None,
-    validate: bool = True,
 ) -> SchemeBundle:
-    alpha = (1.0 - beta) if alpha is None else alpha
-    config = SchemeConfig(alpha=alpha, beta=beta, label=label, validate=validate)
+    config = SchemeConfig(alpha=1.0 - beta, beta=beta, label=label)
     return SchemeBundle(
         label=label,
         step=nsfd_step_map(problem, rep, config, spec, label=label),
         rep=rep,
         config=config,
         spec=spec,
-        positive=positive,
-        elementary_stable=stable,
+        positive=True,
+        elementary_stable=True,
         description=description,
     )
 

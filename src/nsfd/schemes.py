@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -117,6 +117,8 @@ def nsfd_step_map(
 
 
 def euler_step(problem: ScalarProblem, y_n, h: float):
+    """Explicit Euler: y + h*f(y); h must be finite and > 0."""
+    check_step(h)
     return _baseline_update(lambda y, h: y + h * problem.f(y), y_n, h)
 
 
@@ -125,7 +127,9 @@ def euler_map(problem: ScalarProblem) -> StepMap:
 
 
 def rk2_step(problem: ScalarProblem, y_n, h: float):
-    """Heun's method: y + (h/2)*(f(y) + f(y + h*f(y)))."""
+    """Heun's method: y + (h/2)*(f(y) + f(y + h*f(y))); h must be finite
+    and > 0."""
+    check_step(h)
 
     def update(y, h):
         k1 = problem.f(y)
@@ -312,31 +316,25 @@ def reference_solution(
     """Ground-truth trajectory on the output grid from a classical
     fourth-order one-step method run at internal step h_out/substeps.
 
-    When the problem carries an exact solution the oracle is checked
-    against it to 1e-10 and the run aborts on disagreement.
+    The output grid is ``integrate``'s, with its contracts on h_out and
+    t_end and its warning when t_end is not a multiple of h_out. When the
+    problem carries an exact solution the oracle is checked against it to
+    1e-10 and the run aborts on disagreement.
     """
-    n_out = int(round(t_end / h_out))
-    times = np.arange(n_out + 1, dtype=float) * h_out
-    states = np.empty(n_out + 1)
-    states[0] = y = float(y0)
     fn = lambda y: (float(problem.f(y[0])),)  # noqa: E731
-    for k in range(n_out):
-        (y,) = rk4(fn, (y,), h_out, substeps)
-        states[k + 1] = y
+    update = lambda y, h: rk4(fn, (y,), h, substeps)[0]  # noqa: E731
+    traj = integrate(StepMap("reference", update), y0, h_out, t_end, problem_name=problem.name)
 
     if problem.exact_solution is not None:
-        exact = np.asarray(problem.exact_solution(times, y0), dtype=float)
-        gap = float(np.max(np.abs(exact - states)))
+        exact = np.asarray(problem.exact_solution(traj.times, y0), dtype=float)
+        gap = float(np.max(np.abs(exact - traj.states)))
         if gap > 1e-10:
             raise OracleSelfCheckFailed(
                 f"{problem.name}: reference integrator differs from the exact "
                 f"solution by {gap:.3e}"
             )
-        states = exact  # prefer the closed form once it is validated
-    return Trajectory(
-        times=times, states=states, scheme_label="reference",
-        problem_name=problem.name, h=h_out,
-    )
+        traj = replace(traj, states=exact)  # prefer the closed form once it is validated
+    return traj
 
 
 def reference_value(problem: ScalarProblem, y0: float, t_end: float) -> float:

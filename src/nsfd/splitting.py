@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import AmbiguousTail, GNotInClass, NegativeAtZero, NoSignStructure
 from .model import Representation, ScalarProblem
@@ -66,11 +65,10 @@ def find_zeros(problem: ScalarProblem, n_scan: int = N_SAMPLES) -> list[float]:
 
 
 def _refine_extremum(fn: Callable, lo: float, hi: float, sign: float) -> float:
-    """Local refinement of min (sign=+1) or max (sign=-1) of fn on [lo, hi]."""
-    if hi <= lo:
-        return float(sign * fn(lo))
-    res = minimize_scalar(lambda y: sign * float(fn(y)), bounds=(lo, hi), method="bounded")
-    return float(res.fun)
+    """Local refinement of min (sign=+1) or max (sign=-1) of sign*fn: the
+    smallest of N_SAMPLES samples of sign*fn on [lo, hi]."""
+    values = np.asarray(fn(np.linspace(lo, hi, N_SAMPLES)), dtype=float)
+    return float(np.min(sign * values))
 
 
 def _bounds_of(fn: Callable, zeros: list[float]) -> SplitBounds:
@@ -180,26 +178,19 @@ def _guarded_quotient(fn: Callable, value_at_zero: float) -> Callable:
 def theorem1_split(problem: ScalarProblem) -> Representation:
     """Multiplicative splitting f = f_plus + y * f_minus.
 
-    For f(0) = 0 the quotient g(y) = f(y)/y (extended by g(0) = f'(0)) is
-    split additively and reassembled as f_plus = y * g_plus, f_minus =
-    g_minus. For f(0) > 0 the same is done for f - f(0) and the constant
-    f(0) is absorbed into f_plus.
+    The quotient g(y) = (f(y) - f(0))/y (extended by g(0) = f'(0)) is split
+    additively and reassembled as f_plus = f(0) + y * g_plus, f_minus =
+    g_minus. An |f(0)| at or below ZERO_TOL is taken as f(0) = 0.
     """
     f0 = float(problem.f(0.0))
     if f0 < -ZERO_TOL:
         raise NegativeAtZero(f"{problem.name}: f(0) = {f0:.6g} < 0")
+    if f0 <= ZERO_TOL:
+        f0 = 0.0
     lo, hi = problem.domain_hint
-    lo = max(lo, 0.0)
-
-    if abs(f0) <= ZERO_TOL:
-        g = _guarded_quotient(problem.f, float(problem.df(0.0)))
-        g_plus, g_minus = _split_additive(g, lo, hi)
-        f_plus = lambda y: np.asarray(y, dtype=float) * g_plus(y)  # noqa: E731
-        return Representation(f_plus=f_plus, f_minus=g_minus, provenance="auto_theorem1")
-
     shifted = lambda y: problem.f(y) - f0  # noqa: E731
     g = _guarded_quotient(shifted, float(problem.df(0.0)))
-    g_plus, g_minus = _split_additive(g, lo, hi)
+    g_plus, g_minus = _split_additive(g, max(lo, 0.0), hi)
     f_plus = lambda y: f0 + np.asarray(y, dtype=float) * g_plus(y)  # noqa: E731
     return Representation(f_plus=f_plus, f_minus=g_minus, provenance="auto_theorem1")
 

@@ -266,9 +266,11 @@ def system_step_map(sys: SystemProblem, cfg: SystemSchemeConfig) -> StepMap:
 
 def euler_system_map(sys: SystemProblem) -> StepMap:
     """Explicit Euler control; like ``system_nsfd_step`` it takes one step
-    size for all states or one per state (``h`` of shape (...,))."""
+    size for all states or one per state (``h`` of shape (...,)), each
+    finite and > 0 (NonPositiveStep otherwise)."""
 
     def update(s, h):
+        check_step(h)
         if np.ndim(h):
             h = np.asarray(h, dtype=float)[..., None]
         return np.asarray(s, float) + h * np.asarray(sys.F(s), float)
@@ -297,21 +299,11 @@ def conserved_series(sys: SystemProblem, traj: Trajectory):
 def reference_system_solution(sys: SystemProblem, state0, h_out: float, t_end: float,
                               substeps: int = 1000) -> Trajectory:
     """Classical fourth-order reference on the output grid (internal step
-    h_out/substeps), run on floats: ``sys.F`` receives tuples."""
-    n_out = int(round(t_end / h_out))
-    s = tuple(np.asarray(state0, dtype=float).tolist())
-    states = np.empty((n_out + 1, sys.dim))
-    states[0] = s
-    for k in range(n_out):
-        s = rk4(sys.F, s, h_out, substeps)
-        states[k + 1] = s
-    return Trajectory(
-        times=np.arange(n_out + 1, dtype=float) * h_out,
-        states=states,
-        scheme_label="reference",
-        problem_name=sys.name,
-        h=h_out,
-    )
+    h_out/substeps), run on floats: ``sys.F`` receives tuples. The output
+    grid is ``integrate``'s, with its contracts on h_out and t_end and its
+    warning when t_end is not a multiple of h_out."""
+    update = lambda s, h: rk4(sys.F, tuple(map(float, s)), h, substeps)  # noqa: E731
+    return integrate(StepMap("reference", update), state0, h_out, t_end, problem_name=sys.name)
 
 
 def step_map_jacobian(sys: SystemProblem, cfg: SystemSchemeConfig, state, h: float,

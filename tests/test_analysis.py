@@ -12,7 +12,7 @@ from nsfd.analysis import (
     rate_between,
 )
 from nsfd.errata import errata_entries
-from nsfd.errors import GridMismatch
+from nsfd.errors import GridMismatch, SampleMismatch
 from nsfd.model import Trajectory
 from nsfd.problems import get_problem, get_scheme
 from nsfd.schemes import StepMap
@@ -140,6 +140,21 @@ class TestPositivityAudit:
                                   np.array([0.1, 1.0, 10.0]), n_steps=50, paired=True)
         assert report.n_trajectories == 3
         assert report.passed
+
+    @pytest.mark.parametrize("hs", [[0.1, 1.0], [0.1, 1.0, 10.0, 100.0], [0.1], 0.1,
+                                    [[0.1, 1.0, 10.0]]])
+    def test_paired_mode_needs_one_step_size_per_start(self, hs):
+        step = get_scheme("logistic", "snsfd1").step
+        with pytest.raises(SampleMismatch):
+            positivity_audit(step, [0.5, 1.0, 2.0], hs, n_steps=3, paired=True)
+
+    def test_paired_mode_lanes_of_a_system(self):
+        lv = get_system("lv")
+        step = system_step_map(lv, second_order_config(lv))
+        starts = np.array([[2.0, 0.5], [1.0, 3.0]])
+        assert positivity_audit(step, starts, [0.1, 10.0], n_steps=5, paired=True).passed
+        with pytest.raises(SampleMismatch):
+            positivity_audit(step, starts, [0.1], n_steps=5, paired=True)
 
 
 class TestStabilityAudit:

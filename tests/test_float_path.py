@@ -30,9 +30,10 @@ for _m in (2, 3, 4):
     CASES[f"powerlaw_nsfd_step(m={_m})"] = (
         lambda y, h, m=_m: powerlaw_nsfd_step(1.0, 1.0, m, y, h))
 
-#: the Euler and RK2 baselines, which make no claim on the state or the step
-#: size. Power-law f computes y**m, which on Python floats rounds differently
-#: from numpy's power, so its baselines are checked on their own below.
+#: the Euler and RK2 baselines, which make no claim on the state but reject
+#: a bad step size like every other step. Power-law f computes y**m, which on
+#: Python floats rounds differently from numpy's power, so its baselines are
+#: checked for bit identity on their own below.
 BASELINES = {
     f"{pname}/{label}": scheme_bundles(pname)[label].step.update
     for pname in problem_names()
@@ -150,12 +151,21 @@ bad_steps = st.one_of(
 )
 
 
+#: every scalar step: the float-path cases and all Euler/RK2 baselines
+ALL_STEPS = BIT_IDENTICAL | {
+    f"powerlaw/{label}": scheme_bundles("powerlaw")[label].step.update for label in ("euler", "rk2")
+}
+
+
 @settings(max_examples=200, deadline=None)
-@given(name=st.sampled_from(sorted(CASES)),
+@given(name=st.sampled_from(sorted(ALL_STEPS)),
        y=st.one_of(st.sampled_from(EQUILIBRIA), st.floats(0.0, 10.0)), h=bad_steps)
+@example(name="logistic/euler", y=0.5, h=math.nan)
+@example(name="logistic/euler", y=0.5, h=-0.1)
+@example(name="powerlaw/rk2", y=0.5, h=0.0)
 def test_non_finite_or_nonpositive_step_rejected(name, y, h):
     # at an equilibrium too, where the step would otherwise return y
-    update = CASES[name]
+    update = ALL_STEPS[name]
     assert outcome(update, y, h) is NonPositiveStep
     assert outcome(update, np.array([y]), h) is NonPositiveStep
 

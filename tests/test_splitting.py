@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import nsfd
 from nsfd.errors import AmbiguousTail, GNotInClass, NegativeAtZero, NoSignStructure
 from nsfd.model import Representation, ScalarProblem, register_problem
 from nsfd.problems import get_problem, problem_names
@@ -18,6 +25,19 @@ from nsfd.splitting import (
 def _problem(name, f, df, domain=(0.0, 10.0), f0_nonneg=True):
     return register_problem(ScalarProblem(name=name, f=f, df=df, domain_hint=domain,
                                           f0_nonneg=f0_nonneg))
+
+
+_MONOD_ARGMAX = (2.0 * np.sqrt(3.0) - 3.0) / 3.0  # root of 1 - 6y - 3y^2 (mu = 2)
+_POWERLAW_ARGMAX = 4.0 ** (-1.0 / 3.0)  # root of 1 - 4y^3
+
+#: (min, max) of f on [0, y_m] for every registry problem, in closed form
+ANALYTIC_EXTREMES = {
+    "logistic": (0.0, 1.0),
+    "cubic": (0.0, 2.0 / (3.0 * np.sqrt(3.0))),
+    "sine": (-1.0, 1.0),
+    "monod": (0.0, _MONOD_ARGMAX * (1.0 - 3.0 * _MONOD_ARGMAX) / (1.0 + _MONOD_ARGMAX)),
+    "powerlaw": (0.0, _POWERLAW_ARGMAX - _POWERLAW_ARGMAX**4),
+}
 
 
 class TestFindZeros:
@@ -67,6 +87,11 @@ class TestComputeBounds:
         b = compute_bounds(p, find_zeros(p))
         assert b.l <= 0.0 <= b.L
         assert b.M >= abs(b.l) and b.M >= abs(b.L)
+        # l and L cover the analytic extremes, padded outward by no more
+        # than the refinement's certified margin
+        low, high = ANALYTIC_EXTREMES[name]
+        assert low - 3e-8 * (1.0 + abs(low)) <= b.l <= low
+        assert high <= b.L <= high + 3e-8 * (1.0 + high)
 
     def test_empty_zeros_rejected(self):
         with pytest.raises(ValueError):
@@ -162,6 +187,31 @@ class TestTheorem1Split:
         p = get_problem(name)
         report = validate_representation(p, theorem1_split(p))
         assert report.passed, report
+
+
+def test_splitting_layer_runs_without_scipy():
+    # numpy is the only runtime dependency: import, the registry, the
+    # automatic splitting and `nsfd split` leave scipy unloaded
+    code = textwrap.dedent("""
+        import sys
+        import nsfd
+        from nsfd import cli
+        from nsfd.problems import get_problem, problem_names, scheme_bundles
+        from nsfd.splitting import theorem1_split
+        from nsfd.systems import get_system, system_names
+        for name in problem_names():
+            scheme_bundles(name)
+            theorem1_split(get_problem(name))
+            cli.main(["split", "--problem", name])
+        for name in system_names():
+            get_system(name)
+        print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+    """)
+    path = [str(Path(nsfd.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 class TestValidateRepresentation:

@@ -101,6 +101,19 @@ class TestStepContract:
         with pytest.raises(NonPositiveStep):
             system_nsfd_step(system, cfg, np.tile(state, (n_lanes, 1)), hs)
 
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(["lv", "sirs"]), h=bad_steps, n_lanes=st.integers(1, 8),
+           data=st.data())
+    def test_euler_control_rejects_bad_steps(self, name, h, n_lanes, data):
+        update = euler_system_map(get_system(name)).update
+        state = np.array(DEFAULT_STARTS[name])
+        with pytest.raises(NonPositiveStep):
+            update(state, h)
+        hs = np.full(n_lanes, 0.1)
+        hs[data.draw(st.integers(0, n_lanes - 1))] = h
+        with pytest.raises(NonPositiveStep):
+            update(np.tile(state, (n_lanes, 1)), hs)
+
     @pytest.mark.parametrize("order2", [True, False])
     def test_per_lane_steps_match_single_states(self, order2):
         lv = get_system("lv")
