@@ -147,7 +147,9 @@ def positivity_audit(
     With ``paired=False`` every (y0, h) combination is run; with
     ``paired=True`` the i-th start is advanced with the i-th step size
     (SampleMismatch unless there is exactly one step size per start).
-    Either way each lane carries its own step size. Trajectories that leave the float range (genuinely
+    Either way each lane carries its own step size, and a step must return
+    lanes of the shape it was given (SampleMismatch otherwise: system starts
+    go in as (n, dim)). Trajectories that leave the float range (genuinely
     divergent dynamics) are frozen at their last finite state and counted;
     each iterate of a lane counts as negative at most once, and only while
     the lane is finite.
@@ -174,6 +176,10 @@ def positivity_audit(
             # a previous iterate already left the nonnegative orthant
             negative = max(negative, 1)
             break
+        if y_next.shape != y.shape:
+            # e.g. one system start of shape (dim,) read as dim scalar lanes
+            raise SampleMismatch(f"the step returned lanes of shape {y_next.shape} for "
+                                 f"lanes of shape {y.shape}; pass system starts as (n, dim)")
         bad = ~np.isfinite(y_next)
         if bad.ndim > 1:
             bad = bad.any(axis=-1)

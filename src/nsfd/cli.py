@@ -59,15 +59,25 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
         writer.writerows(rows)
 
 
-def _load_config_file(path: str) -> dict:
-    out = {}
+def _config_tokens(parser: argparse.ArgumentParser, command: str, path: str) -> list[str]:
+    """The key=value lines of a --config file as flag tokens for ``command``,
+    so they are parsed exactly like flags. An on/off flag takes true/false
+    (1/0, yes/no, on/off)."""
+    defaults = vars(parser.parse_args([command]))
+    tokens = []
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
+        key, _, value = (part.strip() for part in line.partition("="))
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(defaults.get(key.replace("-", "_")), bool):
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):
+            tokens.append(flag)
+        elif value.lower() not in ("", "0", "false", "no", "off"):
+            parser.error(f"{path}: {key} takes true or false, got {value!r}")
+    return tokens
 
 
 def _parse_h_list(text: str) -> list[float]:
@@ -278,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     # flags listed in _required may come from either the command line or a
     # --config file, so they are declared optional here and validated in main()
     config_parent = argparse.ArgumentParser(add_help=False)
-    config_parent.add_argument("--config", help="key=value file with default flag values")
+    config_parent.add_argument("--config", help="key=value file of flag values, parsed like flags")
     parser = argparse.ArgumentParser(prog="nsfd", description=__doc__, parents=[config_parent],
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -345,33 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, command: str, defaults: dict) -> None:
-    for action in parser._subparsers._group_actions:  # noqa: SLF001
-        subparser = getattr(action, "choices", {}).get(command)
-        if subparser is None:
-            continue
-        typed = {}
-        for a in subparser._actions:  # noqa: SLF001
-            if a.dest not in defaults:
-                continue
-            raw = defaults[a.dest]
-            if isinstance(a, argparse._StoreTrueAction):  # noqa: SLF001
-                typed[a.dest] = str(raw).lower() in ("1", "true", "yes", "on")
-            elif a.type is not None:
-                typed[a.dest] = a.type(raw)
-            else:
-                typed[a.dest] = raw
-        subparser.set_defaults(**typed)
-
-
 def main(argv=None) -> int:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     pre_args, rest = pre.parse_known_args(argv)
     parser = build_parser()
     if pre_args.config and rest:
-        _apply_config(parser, rest[0], _load_config_file(pre_args.config))
-    args = parser.parse_args(argv)
+        # config values go before the explicit flags, so the explicit ones win
+        rest = rest[:1] + _config_tokens(parser, rest[0], pre_args.config) + rest[1:]
+    args = parser.parse_args(rest)
     missing = [name for name in args._required if getattr(args, name) in (None, "")]
     if missing:
         parser.error(f"missing required value(s) for {args.command}: "

@@ -50,6 +50,9 @@ H2_PROBES = (0.1, 1.0, 10.0, 100.0)
 #: differently from the derived one may differ from it by rounding only
 H3_RTOL = 1e-12
 
+#: states sampled over the domain window for H1 and H3
+H_SAMPLES = 100
+
 
 def phim(x):
     """The kernel (1 - exp(-x))/x with its removable singularity filled.
@@ -182,19 +185,18 @@ def check_H_conditions(
     rep: Representation,
     config: SchemeConfig,
     spec: DenominatorSpec,
-    n_y: int = 100,
 ) -> ConditionReport:
     """Audit the four conditions (H1)-(H4) under which the weighted scheme
     is positive, elementary stable and second-order accurate.
 
-    H1 and H3 are sampled over the domain window, H3 as the closed-form
-    identity -lam(y) = f'(y) - 2*beta*f_minus(y) to ``H3_RTOL``; H2 is
-    probed at the stable equilibria over ``H2_PROBES`` (vacuously true where
-    the bracket 2*beta*f_minus - f' is nonpositive); H4 is exact arithmetic
-    on the weights.
+    H1 and H3 are sampled at ``H_SAMPLES`` states of the domain window, H3
+    as the closed-form identity -lam(y) = f'(y) - 2*beta*f_minus(y) to
+    ``H3_RTOL``; H2 is probed at the stable equilibria over ``H2_PROBES``
+    (vacuously true where the bracket 2*beta*f_minus - f' is nonpositive);
+    H4 is exact arithmetic on the weights.
     """
     lo, hi = problem.domain_hint
-    ys = np.linspace(max(lo, 0.0), hi, n_y)
+    ys = np.linspace(max(lo, 0.0), hi, H_SAMPLES)
     notes: list[str] = []
 
     # H1: positivity on an (h, y) grid and phi/h -> 1 with bounded slope

@@ -46,7 +46,8 @@ class ZeroStepCount(NsfdError):
 
 
 class SampleMismatch(NsfdError):
-    """Paired samples need exactly one step size per start."""
+    """Paired samples need exactly one step size per start, and a step must
+    return lanes of the shape it was given."""
 
 
 class OracleSelfCheckFailed(NsfdError):

@@ -125,21 +125,18 @@ def with_equilibria(problem: ScalarProblem) -> ScalarProblem:
     return replace(problem, equilibria=tuple(classify_equilibria(problem)))
 
 
-def default_domain(equilibria) -> tuple[float, float]:
-    """Default sampling window once equilibria are known: wide enough to
-    contain all sign structure the splitting construction depends on."""
-    top = max((e.y_star for e in equilibria), default=0.0)
-    return (0.0, 10.0 * (1.0 + top))
-
-
 @dataclass(frozen=True)
 class Representation:
     """A splitting f(y) = f_plus(y) + y * f_minus(y) with f_plus >= 0 and
-    f_minus <= 0 on nonnegative states."""
+    f_minus <= 0 on nonnegative states.
+
+    The callables take y, or for a system the state with vector values
+    packed like it, so that F(x) = f_plus(x) + x * f_minus(x) componentwise.
+    """
 
     f_plus: Callable
     f_minus: Callable
-    provenance: str = "manual"  # manual | auto_lemma1 | auto_theorem1
+    provenance: str = "manual"  # manual | auto_theorem1
 
 
 @dataclass(frozen=True)

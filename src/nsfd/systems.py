@@ -1,21 +1,23 @@
 """Componentwise positive schemes for systems of ODEs.
 
-Each component is discretized the same way as the scalar method. Two
-component forms are supported:
+A system carries one splitting of its right-hand side, the scalar
+``Representation`` with the state in place of y:
 
-* product form   dx_i/dt = x_i * (f_plus - f_minus), f_plus, f_minus >= 0
-* affine form    dx_i/dt = f_plus + x_i * f_minus,   f_plus >= 0 >= f_minus
+    F(x) = f_plus(x) + x * f_minus(x),   f_plus >= 0 >= f_minus,
 
-A step evaluates F, the affine parts of every component and, at order 2,
-the Jacobian once each at the old state, and updates all components at once
-with the scalar weighted update, so the update is fully explicit and each
-component has a nonnegative numerator over a denominator >= 1:
-componentwise nonnegativity holds for every step size.
+componentwise, with f_plus and f_minus vectors packed like the state. Each
+component is discretized the same way as the scalar method.
+
+A step evaluates F, f_plus, f_minus and, at order 2, the Jacobian once
+each at the old state, and updates all components at once with the scalar
+weighted update, so the update is fully explicit and each component has a
+nonnegative numerator over a denominator >= 1: componentwise nonnegativity
+holds for every step size.
 
 The denominators are phi_i = h * phim(h * lambda_i), as in the scalar
 method. A plain config has lambda_i = 0, so phi_i = h. The order-2 rates
 come from matching the h^2 term of the component map against the chain
-rule: with the affine-form f_minus,
+rule:
 
     lambda_i(x) = 2*beta_i*f_minus_i(x) - (grad f_i . F)(x) / f_i(x)
 
@@ -34,7 +36,7 @@ stay vectorised. Both paths evaluate the same expressions in the same order
 (the product J.F comes from one einsum on both), so they agree bit for bit;
 where float arithmetic raises (x/0) and numpy returns inf or nan instead,
 the step reruns on the array path. So every model callable (F, the
-jacobian, each component's f_plus and f_minus) is written once for both
+jacobian, the splitting's f_plus and f_minus) is written once for both
 inputs: it takes a tuple of floats or a (..., dim) array, unpacks the
 components with ``state_parts`` and packs a vector result with ``pack``. It
 sticks to arithmetic and numpy ufuncs and never uses Python's ``**``, which
@@ -51,7 +53,7 @@ import numpy as np
 
 from .denominator import check_step, phim
 from .errors import JacobianMissing, NegativeState
-from .model import Trajectory
+from .model import Representation, Trajectory
 from .schemes import StepMap, integrate, rk4, weighted_update
 
 #: |f_i| at or below this switches the component rate to zero (phi_i = h)
@@ -86,47 +88,15 @@ def pack(state, values):
 
 
 @dataclass(frozen=True)
-class SystemComponent:
-    """Signed coefficient functions for one component.
-
-    For ``form="product"`` both callables are nonnegative on the state box;
-    for ``form="affine"`` f_plus >= 0 and f_minus <= 0. Callables take the
-    full state, a tuple of floats or a (..., dim) array (last axis indexes
-    components, so batched states work), and return a float for a tuple and
-    values broadcasting to the batch shape for an array.
-    """
-
-    form: str  # "product" | "affine"
-    f_plus: Callable
-    f_minus: Callable
-
-    def affine_parts(self, state, idx: int):
-        """(f_plus, f_minus) in the affine sign convention."""
-        if self.form == "affine":
-            return self.f_plus(state), self.f_minus(state)
-        return state_parts(state)[idx] * self.f_plus(state), -self.f_minus(state)
-
-
-@dataclass(frozen=True)
 class SystemProblem:
     name: str
     dim: int
     F: Callable  # state -> dstate/dt
-    components: tuple[SystemComponent, ...]
+    rep: Representation  # state -> f_plus, f_minus, each packed like the state
     jacobian: Optional[Callable] = None  # state -> (..., dim, dim) matrix, or rows of floats
     conserved: Optional[Callable] = None  # state -> float diagnostic
     equilibria: tuple = ()
     box: tuple[float, float] = (0.0, 10.0)  # sampling box for sign audits
-
-    def __post_init__(self):
-        if len(self.components) != self.dim:
-            raise ValueError(f"{self.name}: {len(self.components)} components for dim {self.dim}")
-
-    def affine_parts(self, state):
-        """(f_plus, f_minus) of every component in the affine sign convention,
-        each packed like the state."""
-        parts = [comp.affine_parts(state, i) for i, comp in enumerate(self.components)]
-        return pack(state, [fp for fp, _ in parts]), pack(state, [fm for _, fm in parts])
 
 
 @dataclass(frozen=True)
@@ -148,26 +118,14 @@ class SystemSchemeConfig:
             raise ValueError("alphas/betas length mismatch")
 
 
-def validate_components(sys: SystemProblem, n_samples: int = 10_000, seed: int = 0) -> float:
-    """Largest sign violation of the component coefficient functions over
-    random states in the system's sampling box (0 when all hold).
-
-    Product components need f_plus, f_minus >= 0; affine components need
-    f_plus >= 0 >= f_minus.
-    """
-    rng = np.random.default_rng(seed)
+def validate_components(sys: SystemProblem, n_samples: int = 10_000) -> float:
+    """Largest violation of f_plus >= 0 >= f_minus over seeded random states
+    in the system's sampling box (0 when the signs hold)."""
     lo, hi = sys.box
-    states = rng.uniform(lo, hi, size=(n_samples, sys.dim))
-    worst = 0.0
-    for i, comp in enumerate(sys.components):
-        fp = np.asarray(comp.f_plus(states), dtype=float)
-        fm = np.asarray(comp.f_minus(states), dtype=float)
-        worst = max(worst, float(np.max(-fp, initial=0.0)))
-        if comp.form == "product":
-            worst = max(worst, float(np.max(-fm, initial=0.0)))
-        else:
-            worst = max(worst, float(np.max(fm, initial=0.0)))
-    return worst
+    states = np.random.default_rng(0).uniform(lo, hi, size=(n_samples, sys.dim))
+    fp = np.asarray(sys.rep.f_plus(states), dtype=float)
+    fm = np.asarray(sys.rep.f_minus(states), dtype=float)
+    return max(float(np.max(-fp, initial=0.0)), float(np.max(fm, initial=0.0)))
 
 
 def plain_config(sys: SystemProblem, betas: Optional[tuple] = None, label: str = "plain") -> SystemSchemeConfig:
@@ -189,7 +147,7 @@ def second_order_rates(F, J, f_minus, betas):
     """The order-2 rates lambda_i = 2*beta_i*f_minus_i - (J F)_i / F_i of
     every component, zero where |F_i| <= NEAR_EQUILIBRIUM_EPS.
 
-    ``F`` and the affine ``f_minus`` have the state's shape (..., dim) and
+    ``F`` and ``f_minus`` have the state's shape (..., dim) and
     ``J`` has shape (..., dim, dim); or ``F`` is a tuple of floats, ``J`` a
     tuple of rows and the rates come back as a tuple of floats.
     """
@@ -230,7 +188,7 @@ def system_nsfd_step(sys: SystemProblem, cfg: SystemSchemeConfig, state, h):
     if np.ndim(h):
         h = np.asarray(h, dtype=float)[..., None]  # one step size per state
     Fv = np.asarray(sys.F(s), dtype=float)
-    fp, fm = sys.affine_parts(s)
+    fp, fm = sys.rep.f_plus(s), sys.rep.f_minus(s)
     lam = 0.0
     if cfg.second_order:
         lam = second_order_rates(Fv, np.asarray(sys.jacobian(s), dtype=float), fm, cfg.betas)
@@ -244,7 +202,7 @@ def _float_step(sys: SystemProblem, cfg: SystemSchemeConfig, x: tuple, h: float)
     """The array path of ``system_nsfd_step`` component by component on a
     tuple of floats."""
     F = sys.F(x)
-    fp, fm = sys.affine_parts(x)
+    fp, fm = sys.rep.f_plus(x), sys.rep.f_minus(x)
     lams = (0.0,) * sys.dim
     if cfg.second_order:
         lams = second_order_rates(F, sys.jacobian(x), fm, cfg.betas)
@@ -363,9 +321,8 @@ def stability_thresholds(
 
 
 def lotka_volterra(a: float = 1.0, b: float = 1.0, c: float = 1.0, e: float = 1.0) -> SystemProblem:
-    """Predator-prey system x' = ax - bxy, y' = -cy + exy in product form
-    (x-component: f_plus = a, f_minus = by; y-component: f_plus = ex,
-    f_minus = c)."""
+    """Predator-prey system x' = ax - bxy, y' = -cy + exy, split as
+    f_plus = (ax, exy) and f_minus = (-by, -c)."""
 
     def F(s):
         x, y = state_parts(s)
@@ -374,6 +331,14 @@ def lotka_volterra(a: float = 1.0, b: float = 1.0, c: float = 1.0, e: float = 1.
     def jac(s):
         x, y = state_parts(s)
         return pack(s, [pack(s, [a - b * y, -b * x]), pack(s, [e * y, e * x - c])])
+
+    def f_plus(s):
+        x, y = state_parts(s)
+        return pack(s, [a * x, e * x * y])
+
+    def f_minus(s):
+        _, y = state_parts(s)
+        return pack(s, [-(b * y), -c])
 
     def conserved(s):
         x, y = state_parts(s)
@@ -384,12 +349,7 @@ def lotka_volterra(a: float = 1.0, b: float = 1.0, c: float = 1.0, e: float = 1.
         name="lv",
         dim=2,
         F=F,
-        components=(
-            SystemComponent(form="product", f_plus=lambda s: a,
-                            f_minus=lambda s: b * state_parts(s)[1]),
-            SystemComponent(form="product", f_plus=lambda s: e * state_parts(s)[0],
-                            f_minus=lambda s: c),
-        ),
+        rep=Representation(f_plus=f_plus, f_minus=f_minus),
         jacobian=jac,
         conserved=conserved,
         equilibria=(np.array([0.0, 0.0]), np.array([c / e, a / b])),
@@ -397,7 +357,7 @@ def lotka_volterra(a: float = 1.0, b: float = 1.0, c: float = 1.0, e: float = 1.
 
 
 def sirs(beta: float = 0.3, gamma: float = 0.1, mu: float = 0.05, N: float = 1.0) -> SystemProblem:
-    """SIRS compartment model in affine form:
+    """SIRS compartment model, split as
 
         S' = mu*R   + S*(-beta*I/N)
         I' = beta*S*I/N + I*(-gamma)
@@ -419,9 +379,13 @@ def sirs(beta: float = 0.3, gamma: float = 0.1, mu: float = 0.05, N: float = 1.0
                         pack(s, [bN * I, bN * S - gamma, 0.0]),
                         pack(s, [0.0, gamma, -mu])])
 
-    def infections(s):
-        S, I, _ = state_parts(s)
-        return bN * S * I
+    def f_plus(s):
+        S, I, R = state_parts(s)
+        return pack(s, [mu * R, bN * S * I, gamma * I])
+
+    def f_minus(s):
+        _, I, _ = state_parts(s)
+        return pack(s, [-bN * I, -gamma, -mu])
 
     def conserved(s):
         S, I, R = state_parts(s)
@@ -434,13 +398,7 @@ def sirs(beta: float = 0.3, gamma: float = 0.1, mu: float = 0.05, N: float = 1.0
         name="sirs",
         dim=3,
         F=F,
-        components=(
-            SystemComponent(form="affine", f_plus=lambda s: mu * state_parts(s)[2],
-                            f_minus=lambda s: -bN * state_parts(s)[1]),
-            SystemComponent(form="affine", f_plus=infections, f_minus=lambda s: -gamma),
-            SystemComponent(form="affine", f_plus=lambda s: gamma * state_parts(s)[1],
-                            f_minus=lambda s: -mu),
-        ),
+        rep=Representation(f_plus=f_plus, f_minus=f_minus),
         jacobian=jac,
         conserved=conserved,
         equilibria=(endemic,),

@@ -156,6 +156,16 @@ class TestPositivityAudit:
         with pytest.raises(SampleMismatch):
             positivity_audit(step, starts, [0.1], n_steps=5, paired=True)
 
+    @pytest.mark.parametrize("hs, paired", [([0.1, 0.1], True), ([0.1], False)])
+    def test_system_start_without_lane_axis_refused(self, hs, paired):
+        # a (dim,) start would be read as dim scalar lanes; the step returns (2, 2)
+        lv = get_system("lv")
+        step = system_step_map(lv, second_order_config(lv))
+        with pytest.raises(SampleMismatch):
+            positivity_audit(step, [2.0, 0.5], hs, n_steps=3, paired=paired)
+        report = positivity_audit(step, [[2.0, 0.5]], [0.1], n_steps=3, paired=paired)
+        assert report.passed and report.n_trajectories == 1
+
 
 class TestStabilityAudit:
     def test_snsfd1_jacobian_value(self):

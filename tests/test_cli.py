@@ -225,6 +225,34 @@ class TestConfigFile:
         assert "missing required" in capsys.readouterr().err
 
 
+class TestConfigValuesParsedLikeFlags:
+    @pytest.mark.parametrize("command, lines", [
+        ("run-sys", "model=lv\nscheme=bogus\nh=0.1\nt-end=1\n"),
+        ("run", "problem=nope\nscheme=snsfd1\nh=0.25\nt-end=1\n"),
+        ("run", "problem=logistic\nscheme=snsfd1\nh=abc\nt-end=1\n"),
+    ])
+    def test_bad_value_is_a_usage_error(self, tmp_path, capsys, command, lines):
+        # the same values passed as flags fail argparse's choices/type checks
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "bad.csv"
+        cfg.write_text(lines + f"out={out}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), command])
+        assert exc.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, full", [("true", True), ("false", False)])
+    def test_on_off_flag(self, tmp_path, monkeypatch, value, full):
+        import nsfd.cli as cli
+
+        seen = []
+        monkeypatch.setattr(cli, "cmd_table2", lambda args: seen.append(args.full) or 0)
+        cfg = tmp_path / "t2.cfg"
+        cfg.write_text(f"full={value}\nout={tmp_path / 't2.csv'}\n")
+        assert main(["--config", str(cfg), "table2"]) == 0
+        assert seen == [full]
+
+
 def test_positivity_failure_forces_nonzero_exit(monkeypatch):
     import nsfd.cli as cli
 

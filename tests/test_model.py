@@ -8,7 +8,6 @@ from nsfd.model import (
     SchemeConfig,
     Trajectory,
     classify_equilibria,
-    default_domain,
     register_problem,
 )
 from nsfd.problems import get_problem, problem_names
@@ -107,12 +106,6 @@ def test_exact_solutions_satisfy_ode():
             dy = (np.asarray(p.exact_solution(ts + eps, y0), dtype=float)
                   - np.asarray(p.exact_solution(ts - eps, y0), dtype=float)) / (2 * eps)
             assert np.max(np.abs(dy - p.f(y))) <= 1e-6, name
-
-
-def test_default_domain():
-    eqs = (Equilibrium(0.0, 1.0), Equilibrium(2.0, -2.0))
-    assert default_domain(eqs) == (0.0, 30.0)
-    assert default_domain(()) == (0.0, 10.0)
 
 
 class TestSchemeConfig:

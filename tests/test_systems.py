@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from nsfd.analysis import positivity_audit
 from nsfd.errors import JacobianMissing, NegativeState, NonPositiveStep
+from nsfd.model import Representation
 from nsfd.problems import get_problem, get_scheme
 from nsfd.systems import (
     DEFAULT_STARTS,
     NEAR_EQUILIBRIUM_EPS,
     validate_components,
-    SystemComponent,
     SystemProblem,
     SystemSchemeConfig,
     conserved_series,
@@ -21,6 +21,7 @@ from nsfd.systems import (
     get_system,
     integrate_system,
     lotka_volterra,
+    pack,
     plain_config,
     reference_system_solution,
     second_order_config,
@@ -128,7 +129,7 @@ class TestStepContract:
     @pytest.mark.parametrize("order2", [True, False])
     def test_F_and_J_evaluated_once_per_step(self, name, order2):
         base = get_system(name)
-        calls = {"F": 0, "J": 0}
+        calls = {"F": 0, "J": 0, "f_plus": 0, "f_minus": 0}
 
         def counted(key, fn):
             def wrapped(s):
@@ -136,11 +137,14 @@ class TestStepContract:
                 return fn(s)
             return wrapped
 
-        system = replace(base, F=counted("F", base.F), jacobian=counted("J", base.jacobian))
+        rep = Representation(f_plus=counted("f_plus", base.rep.f_plus),
+                             f_minus=counted("f_minus", base.rep.f_minus))
+        system = replace(base, F=counted("F", base.F), jacobian=counted("J", base.jacobian),
+                         rep=rep)
         cfg = _config(system, order2)
         integrate_system(system, cfg, DEFAULT_STARTS[name], 0.1, 1.0)
         system_nsfd_step(system, cfg, np.tile(DEFAULT_STARTS[name], (5, 1)), 0.1)
-        assert calls == {"F": 11, "J": 11 if order2 else 0}
+        assert calls == {"F": 11, "J": 11 if order2 else 0, "f_plus": 11, "f_minus": 11}
 
 
 def _bits(state) -> list[str]:
@@ -218,7 +222,7 @@ class TestFloatPath:
             F = system.F(near)
             assert any(0.0 < abs(F_i) <= NEAR_EQUILIBRIUM_EPS for F_i in F)
             x = tuple(float(v) for v in DEFAULT_STARTS[name])
-            lams = second_order_rates(system.F(x), system.jacobian(x), system.affine_parts(x)[1],
+            lams = second_order_rates(system.F(x), system.jacobian(x), system.rep.f_minus(x),
                                       cfg.betas)
             assert max(abs(1e3 * lam) for lam in lams) > 4.0  # KERNEL_ARG_CLAMP at h = 1e3
 
@@ -263,9 +267,13 @@ class TestFloatPath:
                 return fn(s)
             return wrapped
 
-        system = replace(base, F=logged("F", base.F), jacobian=logged("J", base.jacobian))
+        rep = Representation(f_plus=logged("f_plus", base.rep.f_plus),
+                             f_minus=logged("f_minus", base.rep.f_minus))
+        system = replace(base, F=logged("F", base.F), jacobian=logged("J", base.jacobian),
+                         rep=rep)
         system_nsfd_step(system, _config(system, order2), np.array(DEFAULT_STARTS[name]), 0.1)
-        assert seen == [("F", tuple)] + ([("J", tuple)] if order2 else [])
+        assert seen == ([("F", tuple), ("f_plus", tuple), ("f_minus", tuple)]
+                        + ([("J", tuple)] if order2 else []))
 
     def test_float_arithmetic_errors_rerun_on_the_array_path(self):
         # a component with the wrong sign of f_minus makes the denominator
@@ -273,8 +281,8 @@ class TestFloatPath:
         bad = SystemProblem(
             name="bad-sign", dim=1,
             F=lambda s: s,
-            components=(SystemComponent(form="affine", f_plus=lambda s: 0.0,
-                                        f_minus=lambda s: 1.0),),
+            rep=Representation(f_plus=lambda s: pack(s, [0.0]),
+                               f_minus=lambda s: pack(s, [1.0])),
         )
         cfg = plain_config(bad)
         with np.errstate(divide="ignore"):
@@ -304,14 +312,9 @@ class TestConfigs:
 
     def test_jacobian_missing(self):
         lv = get_system("lv")
-        bare = SystemProblem(name="bare", dim=2, F=lv.F, components=lv.components)
+        bare = SystemProblem(name="bare", dim=2, F=lv.F, rep=lv.rep)
         with pytest.raises(JacobianMissing):
             second_order_config(bare)
-
-    def test_component_count_checked(self):
-        lv = get_system("lv")
-        with pytest.raises(ValueError):
-            SystemProblem(name="odd", dim=3, F=lv.F, components=lv.components)
 
 
 class TestSecondOrderDenominators:
@@ -324,11 +327,8 @@ class TestSecondOrderDenominators:
             name="logistic1d", dim=1,
             F=lambda s: np.stack([2.0 * np.asarray(s, float)[..., 0]
                                   - np.asarray(s, float)[..., 0] ** 2], axis=-1),
-            components=(SystemComponent(
-                form="affine",
-                f_plus=lambda s: 2.0 * np.asarray(s, float)[..., 0],
-                f_minus=lambda s: -np.asarray(s, float)[..., 0],
-            ),),
+            rep=Representation(f_plus=lambda s: 2.0 * np.asarray(s, float),
+                               f_minus=lambda s: -np.asarray(s, float)),
             jacobian=lambda s: np.stack(
                 [np.stack([2.0 - 2.0 * np.asarray(s, float)[..., 0]], axis=-1)], axis=-2),
         )
@@ -336,14 +336,14 @@ class TestSecondOrderDenominators:
         scalar_lam = b.spec.lambda_fn
         for y in (0.1, 0.5, 1.5, 3.0, 9.0):
             s = np.array([y])
-            got = float(second_order_rates(sys1.F(s), sys1.jacobian(s), sys1.affine_parts(s)[1],
+            got = float(second_order_rates(sys1.F(s), sys1.jacobian(s), sys1.rep.f_minus(s),
                                            betas)[0])
             assert got == pytest.approx(float(scalar_lam(y)), rel=1e-12)
 
     def test_rate_zero_where_f_vanishes(self):
         lv = get_system("lv")
         s = np.array([1.0, 1.0])
-        rates = second_order_rates(lv.F(s), lv.jacobian(s), lv.affine_parts(s)[1],
+        rates = second_order_rates(lv.F(s), lv.jacobian(s), lv.rep.f_minus(s),
                                    second_order_config(lv).betas)
         assert float(rates[0]) == 0.0
 
@@ -458,11 +458,26 @@ class TestComponentSigns:
         lv = get_system("lv")
         bad = SystemProblem(
             name="bad", dim=2, F=lv.F,
-            components=(
-                SystemComponent(form="product",
-                                f_plus=lambda s: -np.ones_like(np.asarray(s, float)[..., 0]),
-                                f_minus=lambda s: np.asarray(s, float)[..., 1]),
-                lv.components[1],
-            ),
+            rep=Representation(f_plus=lambda s: -np.ones_like(np.asarray(s, float)),
+                               f_minus=lv.rep.f_minus),
         )
         assert validate_components(bad, n_samples=500) >= 1.0
+
+    @pytest.mark.parametrize("name", ["lv", "sirs"])
+    def test_registry_splittings_rebuild_F(self, name):
+        # f_plus + x*f_minus == F with f_plus >= 0 >= f_minus, on lanes and on floats
+        system = get_system(name)
+        lo, hi = system.box
+        rng = np.random.default_rng(1)
+        lanes = rng.uniform(lo, hi, size=(10_000, system.dim))
+        fp, fm = system.rep.f_plus(lanes), system.rep.f_minus(lanes)
+        F = system.F(lanes)
+        assert np.all(np.abs(fp + lanes * fm - F) <= 1e-14 * (1.0 + np.abs(F)))
+        assert np.all(fp >= 0.0) and np.all(fm <= 0.0)
+        for row in lanes[:100]:
+            x = tuple(row.tolist())
+            fp, fm, F = system.rep.f_plus(x), system.rep.f_minus(x), system.F(x)
+            assert isinstance(fp, tuple) and isinstance(fm, tuple)
+            for x_i, fp_i, fm_i, F_i in zip(x, fp, fm, F):
+                assert abs(fp_i + x_i * fm_i - F_i) <= 1e-14 * (1.0 + abs(F_i))
+                assert fp_i >= 0.0 >= fm_i
