@@ -153,6 +153,12 @@ def positivity_audit(
     divergent dynamics) are frozen at their last finite state and counted;
     each iterate of a lane counts as negative at most once, and only while
     the lane is finite.
+
+    Once a lane has frozen, every later step first pins the frozen lanes to
+    their last state. Two reductions over all lanes, the minimum and the
+    maximum, then decide the common case: a minimum >= 0 and a maximum below
+    inf mean every lane is finite and nonnegative, and the minimum updates
+    the lowest state seen. Any other step takes the lane-by-lane count.
     """
     y0s = np.atleast_1d(np.asarray(y0_samples, dtype=float))
     hs = np.atleast_1d(np.asarray(h_samples, dtype=float))
@@ -168,31 +174,43 @@ def positivity_audit(
     negative = 0
     y = y0s
     alive = np.ones(y.shape[0], dtype=bool)
-    for _ in range(n_steps):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
+    keep = None  # alive laid out like the lanes, once a lane has frozen
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            try:
                 y_next = np.asarray(step.update(y, hs), dtype=float)
-        except NegativeState:
-            # a previous iterate already left the nonnegative orthant
-            negative = max(negative, 1)
-            break
-        if y_next.shape != y.shape:
-            # e.g. one system start of shape (dim,) read as dim scalar lanes
-            raise SampleMismatch(f"the step returned lanes of shape {y_next.shape} for "
-                                 f"lanes of shape {y.shape}; pass system starts as (n, dim)")
-        bad = ~np.isfinite(y_next)
-        if bad.ndim > 1:
-            bad = bad.any(axis=-1)
-        if np.any(bad):
-            alive &= ~bad
-            y_next = np.where((alive[:, None] if y.ndim > 1 else alive), y_next, y)
-        live = y_next[alive]
-        if live.size:
-            min_state = min(min_state, float(np.min(live)))
-            negative += int(np.count_nonzero(live < 0.0))
-        y = y_next
-        if not np.any(alive):
-            break
+            except NegativeState:
+                # a previous iterate already left the nonnegative orthant
+                negative = max(negative, 1)
+                break
+            if y_next.shape != y.shape:
+                # e.g. one system start of shape (dim,) read as dim scalar lanes
+                raise SampleMismatch(f"the step returned lanes of shape {y_next.shape} for "
+                                     f"lanes of shape {y.shape}; pass system starts as (n, dim)")
+            if keep is not None:
+                y_next = np.where(keep, y_next, y)
+            # every lane finite and nonnegative: nothing froze or went
+            # negative, and as the pinned lanes hold states already seen, the
+            # minimum over all lanes moves min_state as the live one does
+            # (max, not a sum: a sum of finite lanes can overflow)
+            low = y_next.min() if y_next.size else -np.inf
+            if low >= 0.0 and y_next.max() < np.inf:
+                min_state = min(min_state, float(low))
+            else:
+                bad = ~np.isfinite(y_next)
+                if bad.ndim > 1:
+                    bad = bad.any(axis=-1)
+                if np.any(bad):
+                    alive &= ~bad
+                    keep = alive[:, None] if y.ndim > 1 else alive
+                    y_next = np.where(keep, y_next, y)
+                live = y_next[alive]
+                if live.size:
+                    min_state = min(min_state, float(np.min(live)))
+                    negative += int(np.count_nonzero(live < 0.0))
+                if not np.any(alive):
+                    break
+            y = y_next
     return PositivityReport(
         scheme_label=step.label,
         n_trajectories=int(y.shape[0]),

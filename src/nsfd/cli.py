@@ -36,6 +36,7 @@ from .systems import (
     plain_config,
     second_order_config,
     system_names,
+    system_params,
 )
 
 TABLE2_H = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -82,6 +83,47 @@ def _config_tokens(parser: argparse.ArgumentParser, command: str, path: str) -> 
 
 def _parse_h_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _state(text: str) -> tuple[float, ...]:
+    """--y0 of run-sys: comma-separated numbers (none for an empty value)."""
+    try:
+        return tuple(float(tok) for tok in text.split(",")) if text else ()
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _params(text: str) -> dict[str, float]:
+    """--params of run-sys: comma-separated key=value numbers."""
+    params = {}
+    for token in text.split(",") if text else ():
+        key, _, value = token.partition("=")
+        try:
+            params[key.strip()] = float(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated key=value numbers, got {text!r}") from None
+    return params
+
+
+def _check_against_model(parser: argparse.ArgumentParser, args) -> None:
+    """Usage errors for values that depend on another flag: the scheme label
+    of a problem, and the start state and parameters of a run-sys model."""
+    if args.command in ("run", "check", "rates"):
+        labels = sorted(scheme_bundles(args.problem))
+        if args.scheme not in labels:
+            parser.error(f"argument --scheme: invalid choice for {args.problem}: "
+                         f"{args.scheme!r} (choose from {', '.join(labels)})")
+    if args.command == "run-sys":
+        accepted = system_params(args.model)
+        unknown = sorted(set(args.params or {}) - set(accepted))
+        if unknown:
+            parser.error(f"argument --params: {args.model} takes {', '.join(accepted)}, "
+                         f"not {', '.join(unknown)}")
+        dim = get_system(args.model).dim
+        if args.y0 and len(args.y0) != dim:
+            parser.error(f"argument --y0: {args.model} needs {dim} comma-separated values, "
+                         f"got {len(args.y0)}")
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +181,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_run_sys(args) -> int:
-    params = {}
-    if args.params:
-        for token in args.params.split(","):
-            key, _, value = token.partition("=")
-            params[key.strip()] = float(value)
-    system = get_system(args.model, **params)
-    state0 = tuple(float(v) for v in args.y0.split(",")) if args.y0 else DEFAULT_STARTS[args.model]
+    system = get_system(args.model, **(args.params or {}))
+    state0 = args.y0 or DEFAULT_STARTS[args.model]
     if args.scheme == "nsfd2":
         cfg = second_order_config(system)
     else:
@@ -314,9 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-sys", parents=[config_parent], help="integrate a system, write CSV")
     p.add_argument("--model", choices=system_names())
-    p.add_argument("--params", help="comma-separated k=v model parameters")
+    p.add_argument("--params", type=_params, help="comma-separated k=v model parameters")
     p.add_argument("--scheme", default="nsfd2", choices=("nsfd2", "plain"))
-    p.add_argument("--y0", help="comma-separated start state")
+    p.add_argument("--y0", type=_state, help="comma-separated start state")
     p.add_argument("--h", type=float)
     p.add_argument("--t-end", type=float)
     p.add_argument("--out")
@@ -352,6 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_errata, _required=())
 
+    for p in sub.choices.values():
+        p.set_defaults(_parser=p)  # usage errors found after parsing name the subcommand
     return parser
 
 
@@ -366,8 +405,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(rest)
     missing = [name for name in args._required if getattr(args, name) in (None, "")]
     if missing:
-        parser.error(f"missing required value(s) for {args.command}: "
-                     + ", ".join(f"--{m.replace('_', '-')}" for m in missing))
+        args._parser.error(f"missing required value(s) for {args.command}: "
+                           + ", ".join(f"--{m.replace('_', '-')}" for m in missing))
+    _check_against_model(args._parser, args)
     return args.func(args)
 
 

@@ -59,7 +59,14 @@ def phim(x):
 
     Accepts scalars or arrays. Always positive; phim(0) = 1. Evaluated by a
     truncated series below ``SERIES_CUTOFF`` and through expm1 elsewhere to
-    avoid cancellation; saturates at ``ARG_FLOOR`` to stay finite.
+    avoid cancellation; saturates at ``ARG_FLOOR`` to stay finite. The two
+    branches agree bit for bit element by element.
+
+    The array branch runs expm1 on every element and then writes the series
+    over the lanes with |x| < ``SERIES_CUTOFF`` only, when there are any. It
+    needs no errstate: the series never sees a huge argument, expm1 of an
+    argument >= ``ARG_FLOOR`` (or of +-inf) does not overflow, and nan passes
+    through without a warning.
     """
     if isinstance(x, float) or np.ndim(x) == 0:
         x = float(x)
@@ -71,13 +78,15 @@ def phim(x):
         # arguments, and the array branch below uses numpy's
         return -float(np.expm1(-x)) / x
     arr = np.asarray(x, dtype=float)
-    clipped = np.maximum(arr, ARG_FLOOR)
     small = np.abs(arr) < SERIES_CUTOFF
-    safe = np.where(small, 1.0, clipped)
-    with np.errstate(over="ignore", invalid="ignore"):
-        main = -np.expm1(-safe) / safe
-        series = 1.0 - arr / 2.0 + arr * arr / 6.0 - arr * arr * arr / 24.0
-    return np.where(small, series, main)
+    safe = np.maximum(arr, ARG_FLOOR)
+    if not small.any():
+        return -np.expm1(-safe) / safe
+    safe[small] = 1.0
+    out = -np.expm1(-safe) / safe
+    s = arr[small]
+    out[small] = 1.0 - s / 2.0 + s * s / 6.0 - s * s * s / 24.0
+    return out
 
 
 @dataclass(frozen=True)

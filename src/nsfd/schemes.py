@@ -61,9 +61,12 @@ class StepMap:
 
 
 def _check_nonnegative(y_n, scheme: str) -> None:
-    negative = y_n < 0.0 if isinstance(y_n, float) else np.any(np.asarray(y_n, dtype=float) < 0.0)
-    if negative:
-        raise NegativeState(f"{scheme} needs y_n >= 0, got min {float(np.min(y_n)):.6g}")
+    # fmin skips nan as the comparison y < 0 does, so a nan lane neither
+    # raises nor hides a negative one; the message names the lowest state
+    low = y_n if isinstance(y_n, float) else np.fmin.reduce(
+        np.asarray(y_n, dtype=float), axis=None, initial=np.inf)
+    if low < 0.0:
+        raise NegativeState(f"{scheme} needs y_n >= 0, got min {float(low):.6g}")
 
 
 def weighted_update(y, ph, fp, fm, alpha: float, beta: float):
@@ -99,7 +102,9 @@ def nsfd_step(
     fp = np.asarray(rep.f_plus(y), dtype=float)
     fm = np.asarray(rep.f_minus(y), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.where(fy == 0.0, y, weighted_update(y, ph, fp, fm, config.alpha, config.beta))
+        out = weighted_update(y, ph, fp, fm, config.alpha, config.beta)
+    if not fy.all():  # some lane has f = 0 (nan counts as nonzero): fix it exactly
+        out = np.where(fy == 0.0, y, out)
     return float(out) if np.ndim(y_n) == 0 else out
 
 

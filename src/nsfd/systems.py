@@ -45,8 +45,10 @@ rounds differently from numpy's power on floats.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -143,6 +145,17 @@ def second_order_config(sys: SystemProblem, betas: Optional[tuple] = None,
     return replace(plain_config(sys, betas, label=label), second_order=True)
 
 
+@lru_cache(maxsize=8)
+def _weights_at(weights: tuple, shape: tuple) -> np.ndarray:
+    """Per-component weights laid out at a state shape (..., dim), read-only
+    and cached: numpy multiplies by a broadcast (dim,) vector several times
+    slower than by an array of the state's shape."""
+    out = np.empty(shape)
+    out[...] = weights
+    out.flags.writeable = False
+    return out
+
+
 def second_order_rates(F, J, f_minus, betas):
     """The order-2 rates lambda_i = 2*beta_i*f_minus_i - (J F)_i / F_i of
     every component, zero where |F_i| <= NEAR_EQUILIBRIUM_EPS.
@@ -159,7 +172,7 @@ def second_order_rates(F, J, f_minus, betas):
         return tuple(0.0 if abs(F_i) <= NEAR_EQUILIBRIUM_EPS else 2.0 * b * fm_i - jf_i / F_i
                      for F_i, jf_i, fm_i, b in zip(F, jf.tolist(), f_minus, betas))
     with np.errstate(divide="ignore", invalid="ignore"):
-        full = 2.0 * np.asarray(betas) * f_minus - jf / F
+        full = 2.0 * _weights_at(tuple(betas), np.shape(f_minus)) * f_minus - jf / F
     return np.where(np.abs(F) <= NEAR_EQUILIBRIUM_EPS, 0.0, full)
 
 
@@ -171,6 +184,12 @@ def system_nsfd_step(sys: SystemProblem, cfg: SystemSchemeConfig, state, h):
     Batched states of shape (..., dim) are supported, with one step size for
     all of them or one per state (``h`` of shape (...,)). A single state of
     shape (dim,) with a float ``h`` takes the float path.
+
+    On the array path, per-state step sizes are repeated along the component
+    axis and the weights are laid out at the state's shape, so that no
+    multiply broadcasts a length-1 or length-dim axis. The sign guard is one
+    reduction (the lowest non-nan component) unless that is negative, and
+    the exact fixed points F_i = 0 cost a mask only when some F_i is zero.
     """
     if isinstance(h, float) and np.shape(state) == (sys.dim,):
         x = tuple(np.asarray(state, dtype=float).tolist())
@@ -182,20 +201,31 @@ def system_nsfd_step(sys: SystemProblem, cfg: SystemSchemeConfig, state, h):
         except (OverflowError, ZeroDivisionError):
             pass  # numpy returns inf/nan here: rerun on the array path
     s = np.asarray(state, dtype=float)
-    if np.any(s[np.isfinite(s)] < 0.0):
+    # finite negatives only; the lowest component (fmin skips nan) rules
+    # out the common case in one reduction
+    if (np.fmin.reduce(s, axis=None, initial=np.inf) < 0.0
+            and np.any(s[np.isfinite(s)] < 0.0)):
         raise NegativeState("system state must be componentwise nonnegative")
     check_step(h)
     if np.ndim(h):
-        h = np.asarray(h, dtype=float)[..., None]  # one step size per state
+        # one step size per state, repeated along the component axis: numpy
+        # multiplies by a broadcast (..., 1) column several times slower
+        # than by an array of the state's shape
+        h = np.asarray(h, dtype=float)
+        h = np.repeat(h, s.shape[-1]).reshape(h.shape + s.shape[-1:])
     Fv = np.asarray(sys.F(s), dtype=float)
     fp, fm = sys.rep.f_plus(s), sys.rep.f_minus(s)
     lam = 0.0
     if cfg.second_order:
         lam = second_order_rates(Fv, np.asarray(sys.jacobian(s), dtype=float), fm, cfg.betas)
-    ph = h * phim(np.clip(h * lam, -KERNEL_ARG_CLAMP, KERNEL_ARG_CLAMP))
+    # np.clip's bounds as np.maximum then np.minimum (nan passes through)
+    ph = h * phim(np.minimum(np.maximum(h * lam, -KERNEL_ARG_CLAMP), KERNEL_ARG_CLAMP))
     with np.errstate(over="ignore", invalid="ignore"):
-        update = weighted_update(s, ph, fp, fm, np.asarray(cfg.alphas), np.asarray(cfg.betas))
-        return np.where(Fv == 0.0, s, update)
+        update = weighted_update(s, ph, fp, fm, _weights_at(tuple(cfg.alphas), s.shape),
+                                 _weights_at(tuple(cfg.betas), s.shape))
+    if Fv.all():  # no component with F_i = 0 (nan counts as nonzero)
+        return update
+    return np.where(Fv == 0.0, s, update)
 
 
 def _float_step(sys: SystemProblem, cfg: SystemSchemeConfig, x: tuple, h: float) -> list:
@@ -416,6 +446,11 @@ def get_system(name: str, **params) -> SystemProblem:
 
 def system_names() -> list[str]:
     return sorted(_SYSTEM_FACTORIES)
+
+
+def system_params(name: str) -> tuple[str, ...]:
+    """The parameter names ``get_system(name, **params)`` accepts."""
+    return tuple(inspect.signature(_SYSTEM_FACTORIES[name]).parameters)
 
 
 #: default start states for the benchmark runs

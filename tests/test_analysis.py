@@ -1,3 +1,5 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -165,6 +167,99 @@ class TestPositivityAudit:
             positivity_audit(step, [2.0, 0.5], hs, n_steps=3, paired=paired)
         report = positivity_audit(step, [[2.0, 0.5]], [0.1], n_steps=3, paired=paired)
         assert report.passed and report.n_trajectories == 1
+
+
+def _scripted(rows) -> StepMap:
+    """A step map that ignores its input and returns the next of ``rows``."""
+    it = iter(np.asarray(rows, dtype=float))
+    return StepMap("scripted", lambda y, h: next(it).copy())
+
+
+def _lane_by_lane(y0s, rows):
+    """(min_state, negative_count, diverged_count) of ``rows`` as iterates,
+    lane by lane in plain Python: a lane counts until its first non-finite
+    iterate and is ignored after it."""
+    low, negative, diverged = float(np.min(y0s)), 0, 0
+    for lane in range(len(y0s)):
+        for row in rows:
+            values = np.atleast_1d(np.asarray(row[lane], dtype=float)).tolist()
+            if not all(math.isfinite(v) for v in values):
+                diverged += 1
+                break
+            low = min([low] + values)
+            negative += sum(v < 0.0 for v in values)
+    return low, negative, diverged
+
+
+#: four lanes over five steps: they turn +inf, -inf and nan mid-run and come
+#: back finite (negative, even) after freezing, which must not count
+NON_FINITE_ROWS = [
+    [1.0, 0.5, 3.0, 4.0],
+    [2.0, -1.0, np.nan, 0.25],
+    [np.inf, -np.inf, -2.0, 5.0],
+    [-5.0, 7.0, -3.0, 6.0],
+    [3.0, 8.0, -4.0, -0.5],
+]
+
+
+class TestPositivityAuditLanes:
+    """The audit's bookkeeping against a lane-by-lane count, on scripted
+    iterates."""
+
+    def _check(self, y0s, rows):
+        report = positivity_audit(_scripted(rows), y0s, np.ones(len(y0s)), n_steps=len(rows),
+                                  paired=True)
+        low, negative, diverged = _lane_by_lane(y0s, rows)
+        assert (report.min_state, report.negative_count, report.diverged_count) == (
+            low, negative, diverged)
+        assert report.n_trajectories == len(y0s) and report.n_steps == len(rows)
+        return report
+
+    def test_lanes_turning_non_finite_mid_run(self):
+        report = self._check([1.0, 1.0, 1.0, 1.0], NON_FINITE_ROWS)
+        assert (report.min_state, report.negative_count, report.diverged_count) == (-1.0, 2, 3)
+
+    def test_frozen_lanes_of_a_system(self):
+        # one non-finite component freezes the whole lane
+        rows = [[[2.0, 1.0], [1.0, 1.0]],
+                [[np.nan, 1.0], [0.5, 2.0]],
+                [[-1.0, -1.0], [0.75, np.inf]],
+                [[-1.0, -1.0], [-1.0, -1.0]]]
+        report = self._check(np.ones((2, 2)), rows)
+        assert (report.min_state, report.negative_count, report.diverged_count) == (0.5, 0, 2)
+
+    def test_only_nonnegative_lanes_after_a_freeze(self):
+        # the frozen lane holds the lowest state seen; later minima are higher
+        rows = [[0.125, 5.0, 6.0], [np.inf, 4.0, 3.0], [1.0, 2.0, 1.0], [0.0, 3.0, 0.5]]
+        report = self._check([1.0, 9.0, 9.0], rows)
+        assert (report.min_state, report.negative_count, report.diverged_count) == (0.125, 0, 1)
+
+    def test_finite_lanes_whose_sum_overflows(self):
+        big = np.finfo(float).max
+        rows = [[big, big, 1.0], [big, 0.5 * big, 2.0], [big, big, -1.0]]
+        report = self._check([big, big, 1.0], rows)
+        assert (report.min_state, report.negative_count, report.diverged_count) == (-1.0, 1, 0)
+
+    def test_euler_control(self):
+        # the certify control: y0 = 4, h = 1 overshoots to -4 and then diverges
+        report = positivity_audit(get_scheme("logistic", "euler").step, [4.0], [1.0], 10)
+        assert not report.passed
+        assert (report.n_trajectories, report.n_steps, report.min_state, report.negative_count,
+                report.diverged_count) == (1, 10, -1.2978955371099575e+188, 9, 1)
+
+    def test_lv_certify_audit_pinned(self):
+        # the certify lanes at seed 1: three lanes leave float range near
+        # 8.6e307 at step 365 and are frozen there
+        rng = np.random.default_rng(1)
+        rng.uniform(0.0, 10.0, 1000)  # the scalar starts drawn before
+        hs = rng.uniform(1e-6, 100.0, 1000)
+        starts = rng.uniform(0.0, 10.0, size=(1000, 2))
+        lv = get_system("lv")
+        report = positivity_audit(system_step_map(lv, second_order_config(lv)), starts, hs,
+                                  n_steps=1000, paired=True)
+        assert report.passed
+        assert (report.n_trajectories, report.n_steps, report.min_state, report.negative_count,
+                report.diverged_count) == (1000, 1000, 0.0, 0, 3)
 
 
 class TestStabilityAudit:

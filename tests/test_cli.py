@@ -125,6 +125,65 @@ class TestRunSys:
         assert len(rows) == 11
 
 
+class TestRunSysChecksTheModel:
+    @pytest.mark.parametrize("flags, message", [
+        (["--model", "lv", "--y0", "1,2,3"], "lv needs 2 comma-separated values, got 3"),
+        (["--model", "sirs", "--y0", "0.9,0.1"], "sirs needs 3 comma-separated values, got 2"),
+        (["--model", "lv", "--params", "z=3"], "lv takes a, b, c, e, not z"),
+        (["--model", "sirs", "--params", "beta=0.3,b=1"], "sirs takes beta, gamma, mu, N, not b"),
+        (["--model", "lv", "--y0", "1,x"], "expected comma-separated numbers"),
+        (["--model", "lv", "--params", "a=x"], "expected comma-separated key=value numbers"),
+    ])
+    def test_usage_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "sys.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["run-sys", *flags, "--h", "0.1", "--t-end", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: nsfd run-sys" in err and message in err
+        assert not out.exists()
+
+    def test_start_and_parameters_that_fit(self, tmp_path):
+        out = tmp_path / "sys.csv"
+        assert main(["run-sys", "--model", "lv", "--y0", "1,3", "--params", "a=2,c=0.5",
+                     "--h", "0.1", "--t-end", "1", "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        assert [float(v) for v in rows[0][1:3]] == [1.0, 3.0]
+
+
+class TestUnknownScheme:
+    LABELS = "choose from euler, rk2, snsfd1, snsfd2, snsfd3, snsfd3-printed, wood"
+
+    @pytest.mark.parametrize("command, flags", [
+        ("run", ["--h", "0.1", "--t-end", "1"]),
+        ("check", []),
+        ("rates", []),
+    ])
+    def test_flag_is_a_usage_error(self, tmp_path, capsys, command, flags):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--problem", "logistic", "--scheme", "bogus", *flags,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"usage: nsfd {command}" in err and "invalid choice" in err and self.LABELS in err
+        assert not out.exists()
+
+    def test_config_value_is_a_usage_error(self, tmp_path, capsys):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "x.csv"
+        cfg.write_text(f"problem=logistic\nscheme=bogus\nh=0.1\nt-end=1\nout={out}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "run"])
+        assert exc.value.code == 2
+        assert self.LABELS in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_label_of_another_problem(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["check", "--problem", "cubic", "--scheme", "snsfd1"])
+        assert "choose from euler, mickens, nsfd, nsfd-printed, rk2" in capsys.readouterr().err
+
+
 class TestRates:
     def test_csv_output(self, tmp_path):
         out = tmp_path / "rates.csv"

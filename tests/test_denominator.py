@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -5,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsfd.denominator import (
+    ARG_FLOOR,
+    SERIES_CUTOFF,
     DenominatorSpec,
     check_H_conditions,
     constant_rate,
@@ -18,6 +22,13 @@ from nsfd.model import SchemeConfig
 from nsfd.problems import get_problem, get_scheme, problem_names, scheme_bundles
 
 mp.mp.dps = 50
+
+
+#: the edges of phim's branches: the series cutoff, the saturation floor and
+#: the non-finite arguments
+PHIM_EDGES = [0.0, -0.0, SERIES_CUTOFF, -SERIES_CUTOFF, np.nextafter(SERIES_CUTOFF, 0.0),
+              -np.nextafter(SERIES_CUTOFF, 0.0), ARG_FLOOR, np.nextafter(ARG_FLOOR, -np.inf),
+              np.inf, -np.inf, np.nan]
 
 
 def phim_reference(x: float) -> float:
@@ -46,7 +57,26 @@ class TestPhim:
 
     def test_array_matches_scalar(self):
         xs = np.array([-20.0, -1e-7, 0.0, 3e-6, 0.5, 40.0])
-        np.testing.assert_allclose(phim(xs), [phim(float(x)) for x in xs], rtol=1e-15)
+        np.testing.assert_array_equal(phim(xs), [phim(float(x)) for x in xs])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(width=64), max_size=40))
+    def test_array_matches_scalar_bit_for_bit(self, values):
+        # the full float range plus the branch edges, in one array: the series
+        # lanes and the expm1 lanes must each equal the float branch
+        xs = np.array(values + PHIM_EDGES)
+        expect = np.array([phim(float(x)) for x in xs])
+        assert phim(xs).tobytes() == expect.tobytes()
+        assert phim(xs.reshape(1, -1)).tobytes() == expect.tobytes()
+
+    def test_array_branch_emits_no_warning(self):
+        xs = np.array([1e300, -1e300, np.inf, -np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lanes in (xs, np.concatenate([xs, [1e-7, 0.0]])):
+                vals = phim(lanes)
+                assert vals[:4].tolist() == [phim(float(x)) for x in xs[:4]]
+                assert np.all(vals[:4] >= 0.0) and np.isnan(vals[4])
 
     def test_always_positive_and_saturating(self):
         xs = np.array([-1e6, -800.0, -700.0, -5.0, 0.0, 5.0, 700.0, 1e6])

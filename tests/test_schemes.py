@@ -62,6 +62,14 @@ class TestNsfdStep:
         assert self.step(2.0, h) == 2.0
         assert self.step(0.0, h) == 0.0
 
+    def test_equilibria_are_exact_fixed_points_among_lanes(self):
+        # lanes at an equilibrium beside lanes that move, per-lane step sizes
+        ys = np.array([2.0, 0.5, 0.0, 2.0, 3.0])
+        hs = np.array([0.1, 0.1, 1.25, 100.0, 0.1])
+        got = self.step(ys, hs)
+        assert got[[0, 2, 3]].tolist() == [2.0, 0.0, 2.0]
+        assert got[[1, 4]].tolist() == [self.step(0.5, 0.1), self.step(3.0, 0.1)]
+
     def test_one_step_value(self):
         got = self.step(0.5, 0.1)
         assert got == pytest.approx(snsfd1_step_reference(0.5, 0.1), rel=1e-14)
@@ -72,6 +80,12 @@ class TestNsfdStep:
     def test_negative_state_rejected(self):
         with pytest.raises(NegativeState):
             self.step(-0.1, 0.1)
+
+    def test_negative_lane_reported_beside_nan(self):
+        # a nan lane neither raises nor hides the negative one in the message
+        with pytest.raises(NegativeState, match="got min -0.25$"):
+            self.step(np.array([np.nan, 2.0, -0.25, 1.0]), 0.1)
+        assert np.isnan(self.step(np.array([np.nan, 2.0]), 0.1)[0])
 
     def test_zero_minus_part_reduces_to_nonstandard_euler(self):
         # with f_minus = 0 the update is y + phi*f_plus; for f(y) = y the

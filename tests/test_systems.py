@@ -255,6 +255,18 @@ class TestFloatPath:
             assert single is NonPositiveStep
         assert single == lane
 
+    @pytest.mark.parametrize("order2", [True, False])
+    def test_nan_lane_does_not_hide_a_negative_one(self, order2):
+        lv = get_system("lv")
+        cfg = _config(lv, order2)
+        lanes = np.array([[np.nan, 1.0], [2.0, 0.5], [1.0, -0.25]])
+        with pytest.raises(NegativeState):
+            system_nsfd_step(lv, cfg, lanes, np.array([0.1, 0.2, 0.3]))
+        lanes[2, 1] = -math.inf  # a non-finite negative passes the guard
+        with np.errstate(all="ignore"):
+            out = system_nsfd_step(lv, cfg, lanes, np.array([0.1, 0.2, 0.3]))
+        assert np.all(np.isfinite(out[1]))
+
     @pytest.mark.parametrize("name", ["lv", "sirs"])
     @pytest.mark.parametrize("order2", [True, False])
     def test_one_F_and_one_J_call_on_floats(self, name, order2):
