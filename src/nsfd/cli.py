@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .analysis import (
 )
 from .denominator import check_H_conditions
 from .errata import errata_report
+from .errors import BadHorizon, NegativeState, NonPositiveStep, StepCountOverflow, ZeroStepCount
 from .problems import get_problem, get_scheme, problem_names, scheme_bundles
 from .schemes import integrate
 from .splitting import theorem1_split, validate_representation
@@ -43,6 +45,10 @@ TABLE2_H = (1e-1, 1e-2, 1e-3, 1e-4)
 TABLE2_H_FULL = TABLE2_H + (1e-5,)
 FIGURE_H = 1.25
 FIGURE_STEPS = 40
+
+#: the library's input-contract errors: a command that raises one reports a
+#: usage error (exit 2) instead of a traceback
+INPUT_ERRORS = (NonPositiveStep, NegativeState, BadHorizon, ZeroStepCount, StepCountOverflow)
 
 
 def _fmt_table(x) -> str:
@@ -81,8 +87,19 @@ def _config_tokens(parser: argparse.ArgumentParser, command: str, path: str) -> 
     return tokens
 
 
-def _parse_h_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _h_list(text: str) -> list[float]:
+    """--h-list of rates: two or more comma-separated step sizes, finite,
+    > 0 and strictly decreasing."""
+    try:
+        hs = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+    if not all(0.0 < h < math.inf for h in hs):
+        raise argparse.ArgumentTypeError(f"step sizes must be finite and > 0, got {text!r}")
+    if len(hs) < 2 or any(a <= b for a, b in zip(hs, hs[1:])):
+        raise argparse.ArgumentTypeError(
+            f"expected two or more strictly decreasing step sizes, got {text!r}")
+    return hs
 
 
 def _state(text: str) -> tuple[float, ...]:
@@ -206,8 +223,7 @@ def cmd_run_sys(args) -> int:
 def cmd_rates(args) -> int:
     problem = get_problem(args.problem)
     bundle = get_scheme(args.problem, args.scheme)
-    table = convergence_rates(problem, bundle.step, _parse_h_list(args.h_list),
-                              args.t_end, args.y0)
+    table = convergence_rates(problem, bundle.step, args.h_list, args.t_end, args.y0)
     print(table)
     if args.out:
         rows = [[_fmt_table(r.h), _fmt_table(r.error), _fmt_table(r.rate), r.note]
@@ -362,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rates", parents=[config_parent], help="error/rate table for one scheme")
     p.add_argument("--problem", choices=problem_names())
     p.add_argument("--scheme")
-    p.add_argument("--h-list", default="1e-1,1e-2,1e-3")
+    p.add_argument("--h-list", type=_h_list, default="1e-1,1e-2,1e-3")
     p.add_argument("--t-end", type=float, default=1.0)
     p.add_argument("--y0", type=float, default=0.5)
     p.add_argument("--out")
@@ -408,7 +424,10 @@ def main(argv=None) -> int:
         args._parser.error(f"missing required value(s) for {args.command}: "
                            + ", ".join(f"--{m.replace('_', '-')}" for m in missing))
     _check_against_model(args._parser, args)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except INPUT_ERRORS as exc:
+        args._parser.error(f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

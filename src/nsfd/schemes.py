@@ -264,6 +264,11 @@ def integrate(
     steps (with a warning when the rounding is not exact); a t_end > 0 that
     rounds to no step at all raises ZeroStepCount, and t_end = 0 gives the
     one-point trajectory.
+
+    The state is carried in the type it starts in: a float start as a
+    Python float, a flat tuple start (one system state) as a tuple of
+    Python floats, anything else as a float array. So a step map with a
+    float path runs every step on it without converting the state.
     """
     check_step(h)
     if not 0.0 <= t_end < math.inf:
@@ -283,7 +288,12 @@ def integrate(
     start = np.asarray(y0, dtype=float)
     states = np.empty((n + 1,) + start.shape, dtype=float)
     states[0] = start
-    y = float(start) if start.ndim == 0 else start
+    if start.ndim == 0:
+        y = float(start)
+    elif start.ndim == 1 and isinstance(y0, tuple):
+        y = tuple(start.tolist())
+    else:
+        y = start
     for k in range(n):
         y = step.update(y, h)
         states[k + 1] = y

@@ -29,18 +29,20 @@ near a nullcline crossing, and an unclamped kernel there turns the
 denominator into an O(1) amplifier that costs a full order of measured
 convergence along orbits that cross nullclines.
 
-A single state of shape (dim,) with a Python-float step size takes a float
-path: its components become a tuple of Python floats, the step runs on them
-and the result comes back as an array. Lane batches and per-lane step sizes
-stay vectorised. Both paths evaluate the same expressions in the same order
-(the product J.F comes from one einsum on both), so they agree bit for bit;
-where float arithmetic raises (x/0) and numpy returns inf or nan instead,
-the step reruns on the array path. So every model callable (F, the
-jacobian, the splitting's f_plus and f_minus) is written once for both
-inputs: it takes a tuple of floats or a (..., dim) array, unpacks the
-components with ``state_parts`` and packs a vector result with ``pack``. It
-sticks to arithmetic and numpy ufuncs and never uses Python's ``**``, which
-rounds differently from numpy's power on floats.
+A single state with a Python-float step size takes a float path: a tuple
+of Python floats runs as it is and comes back as a tuple, and an array of
+shape (dim,) becomes one on the way in and an array again on the way out.
+Lane batches and per-lane step sizes stay vectorised. Both paths evaluate
+the same expressions in the same order, so they agree bit for bit: the
+product J.F is einsum's on arrays, and on tuples a float loop that adds the
+terms in einsum's order (``tuple_matvec``). Where float arithmetic raises
+(x/0) and numpy returns inf or nan instead, the step reruns on the array
+path. So every model callable (F, the jacobian, the splitting's f_plus and
+f_minus) is written once for both inputs: it takes a tuple of floats or a
+(..., dim) array, unpacks the components with ``state_parts`` and packs a
+vector result with ``pack``. It sticks to arithmetic and numpy ufuncs and
+never uses Python's ``**``, which rounds differently from numpy's power on
+floats.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -81,8 +83,11 @@ def pack(state, values):
     if isinstance(state, tuple):
         return tuple(values)
     batch = np.shape(state)[:-1]
-    if np.ndim(values[0]) > len(batch):  # packed rows
-        return np.stack(values, axis=-2)
+    if np.ndim(values[0]) > len(batch):  # packed rows, written into one matrix
+        out = np.empty(batch + (len(values), np.shape(values[0])[-1]))
+        for i, row in enumerate(values):
+            out[..., i, :] = row
+        return out
     out = np.empty(batch + (len(values),))
     for i, v in enumerate(values):
         out[..., i] = v
@@ -156,6 +161,32 @@ def _weights_at(weights: tuple, shape: tuple) -> np.ndarray:
     return out
 
 
+#: np.einsum sums a row of J.F up to this length in numpy's two-double SIMD
+#: loop: even and odd terms in two lanes, each from +0.0, then even + odd.
+#: Longer rows take an unrolled loop that adds in another order
+EINSUM_TWO_LANE_MAX = 7
+
+
+def tuple_matvec(J, v) -> list:
+    """J.v for a tuple of rows ``J`` and a tuple ``v`` of floats, with the
+    bits of np.einsum("...ij,...j->...i", J, v): each row adds its
+    even-indexed and its odd-indexed terms left to right into two sums that
+    start at +0.0 (so a -0.0 product gives +0.0, as in einsum), then adds
+    the two. Rows longer than ``EINSUM_TWO_LANE_MAX`` go to einsum itself."""
+    if len(v) > EINSUM_TWO_LANE_MAX:
+        return np.einsum("...ij,...j->...i", J, v).tolist()
+    evens, odds = range(0, len(v), 2), range(1, len(v), 2)
+    out = []
+    for row in J:
+        even = odd = 0.0
+        for j in evens:
+            even += row[j] * v[j]
+        for j in odds:
+            odd += row[j] * v[j]
+        out.append(even + odd)
+    return out
+
+
 def second_order_rates(F, J, f_minus, betas):
     """The order-2 rates lambda_i = 2*beta_i*f_minus_i - (J F)_i / F_i of
     every component, zero where |F_i| <= NEAR_EQUILIBRIUM_EPS.
@@ -164,13 +195,11 @@ def second_order_rates(F, J, f_minus, betas):
     ``J`` has shape (..., dim, dim); or ``F`` is a tuple of floats, ``J`` a
     tuple of rows and the rates come back as a tuple of floats.
     """
-    # the float path takes J.F from the same einsum: einsum adds the terms
-    # pairwise in SIMD lanes, not left to right, so a float loop would not
-    # reproduce its bits
-    jf = np.einsum("...ij,...j->...i", J, F)
     if isinstance(F, tuple):
-        return tuple(0.0 if abs(F_i) <= NEAR_EQUILIBRIUM_EPS else 2.0 * b * fm_i - jf_i / F_i
-                     for F_i, jf_i, fm_i, b in zip(F, jf.tolist(), f_minus, betas))
+        # J.F in einsum's summation order, so both paths share its bits
+        return tuple([0.0 if abs(F_i) <= NEAR_EQUILIBRIUM_EPS else 2.0 * b * fm_i - jf_i / F_i
+                      for F_i, jf_i, fm_i, b in zip(F, tuple_matvec(J, F), f_minus, betas)])
+    jf = np.einsum("...ij,...j->...i", J, F)
     with np.errstate(divide="ignore", invalid="ignore"):
         full = 2.0 * _weights_at(tuple(betas), np.shape(f_minus)) * f_minus - jf / F
     return np.where(np.abs(F) <= NEAR_EQUILIBRIUM_EPS, 0.0, full)
@@ -182,8 +211,9 @@ def system_nsfd_step(sys: SystemProblem, cfg: SystemSchemeConfig, state, h):
     are returned exactly.
 
     Batched states of shape (..., dim) are supported, with one step size for
-    all of them or one per state (``h`` of shape (...,)). A single state of
-    shape (dim,) with a float ``h`` takes the float path.
+    all of them or one per state (``h`` of shape (...,)). A single state
+    with a float ``h`` takes the float path: a tuple of Python floats gives
+    a tuple, an array of shape (dim,) an array.
 
     On the array path, per-state step sizes are repeated along the component
     axis and the weights are laid out at the state's shape, so that no
@@ -191,15 +221,24 @@ def system_nsfd_step(sys: SystemProblem, cfg: SystemSchemeConfig, state, h):
     reduction (the lowest non-nan component) unless that is negative, and
     the exact fixed points F_i = 0 cost a mask only when some F_i is zero.
     """
-    if isinstance(h, float) and np.shape(state) == (sys.dim,):
-        x = tuple(np.asarray(state, dtype=float).tolist())
-        if any(-math.inf < v < 0.0 for v in x):  # finite negatives, as below
-            raise NegativeState("system state must be componentwise nonnegative")
-        check_step(h)
-        try:
-            return np.array(_float_step(sys, cfg, x, h))
-        except (OverflowError, ZeroDivisionError):
-            pass  # numpy returns inf/nan here: rerun on the array path
+    if isinstance(h, float):
+        if isinstance(state, tuple) and isinstance(state[0], float):
+            x = state
+        elif np.shape(state) == (sys.dim,):
+            x = tuple(np.asarray(state, dtype=float).tolist())
+        else:
+            x = None
+        if x is not None:
+            # finite negatives only, as below; a min >= 0 rules them out in
+            # one call (a nan met first fails it and the scan decides)
+            if not min(x) >= 0.0 and any(-math.inf < v < 0.0 for v in x):
+                raise NegativeState("system state must be componentwise nonnegative")
+            check_step(h)
+            try:
+                out = _float_step(sys, cfg, x, h)
+                return out if x is state else np.array(out)
+            except (OverflowError, ZeroDivisionError):
+                pass  # numpy returns inf/nan here: rerun on the array path
     s = np.asarray(state, dtype=float)
     # finite negatives only; the lowest component (fmin skips nan) rules
     # out the common case in one reduction
@@ -223,14 +262,14 @@ def system_nsfd_step(sys: SystemProblem, cfg: SystemSchemeConfig, state, h):
     with np.errstate(over="ignore", invalid="ignore"):
         update = weighted_update(s, ph, fp, fm, _weights_at(tuple(cfg.alphas), s.shape),
                                  _weights_at(tuple(cfg.betas), s.shape))
-    if Fv.all():  # no component with F_i = 0 (nan counts as nonzero)
-        return update
-    return np.where(Fv == 0.0, s, update)
+    if not Fv.all():  # some component with F_i = 0 (nan counts as nonzero)
+        update = np.where(Fv == 0.0, s, update)
+    return tuple(update.tolist()) if isinstance(state, tuple) and update.ndim == 1 else update
 
 
-def _float_step(sys: SystemProblem, cfg: SystemSchemeConfig, x: tuple, h: float) -> list:
+def _float_step(sys: SystemProblem, cfg: SystemSchemeConfig, x: tuple, h: float) -> tuple:
     """The array path of ``system_nsfd_step`` component by component on a
-    tuple of floats."""
+    tuple of floats; the result is a tuple."""
     F = sys.F(x)
     fp, fm = sys.rep.f_plus(x), sys.rep.f_minus(x)
     lams = (0.0,) * sys.dim
@@ -244,12 +283,11 @@ def _float_step(sys: SystemProblem, cfg: SystemSchemeConfig, x: tuple, h: float)
         # clip as np.clip does, letting nan through
         arg = min(max(h * lam, -KERNEL_ARG_CLAMP), KERNEL_ARG_CLAMP)
         out.append(weighted_update(x_i, h * phim(arg), fp_i, fm_i, a, b))
-    return out
+    return tuple(out)
 
 
 def system_step_map(sys: SystemProblem, cfg: SystemSchemeConfig) -> StepMap:
-    return StepMap(label=cfg.label or "system-nsfd",
-                   update=lambda s, h: system_nsfd_step(sys, cfg, s, h))
+    return StepMap(label=cfg.label or "system-nsfd", update=partial(system_nsfd_step, sys, cfg))
 
 
 def euler_system_map(sys: SystemProblem) -> StepMap:
@@ -273,7 +311,11 @@ def integrate_system(
     h: float,
     t_end: float,
 ) -> Trajectory:
-    """Fold the componentwise step from t = 0 to t_end at fixed step h."""
+    """Fold the componentwise step from t = 0 to t_end at fixed step h. A
+    single start state is carried as a tuple of floats, so every step runs
+    on the float path without converting the state."""
+    if np.shape(state0) == (sys.dim,):
+        state0 = tuple(np.asarray(state0, dtype=float).tolist())
     return integrate(system_step_map(sys, cfg), state0, h, t_end, problem_name=sys.name)
 
 
@@ -290,8 +332,9 @@ def reference_system_solution(sys: SystemProblem, state0, h_out: float, t_end: f
     h_out/substeps), run on floats: ``sys.F`` receives tuples. The output
     grid is ``integrate``'s, with its contracts on h_out and t_end and its
     warning when t_end is not a multiple of h_out."""
-    update = lambda s, h: rk4(sys.F, tuple(map(float, s)), h, substeps)  # noqa: E731
-    return integrate(StepMap("reference", update), state0, h_out, t_end, problem_name=sys.name)
+    start = tuple(np.asarray(state0, dtype=float).tolist())  # integrate carries it as a tuple
+    update = lambda s, h: rk4(sys.F, s, h, substeps)  # noqa: E731
+    return integrate(StepMap("reference", update), start, h_out, t_end, problem_name=sys.name)
 
 
 def step_map_jacobian(sys: SystemProblem, cfg: SystemSchemeConfig, state, h: float,

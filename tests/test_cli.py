@@ -195,6 +195,69 @@ class TestRates:
         assert float(rows[1][2]) == pytest.approx(2.0, abs=0.1)
 
 
+class TestRatesStepList:
+    @pytest.mark.parametrize("h_list, message", [
+        ("1e-1,abc", "expected comma-separated numbers"),
+        ("1e-1,0", "step sizes must be finite and > 0"),
+        ("1e-1,-1e-2", "step sizes must be finite and > 0"),
+        ("1e-1,nan", "step sizes must be finite and > 0"),
+        ("inf,1e-1", "step sizes must be finite and > 0"),
+        ("1e-2,1e-1", "expected two or more strictly decreasing step sizes"),
+        ("1e-1,1e-1", "expected two or more strictly decreasing step sizes"),
+        ("1e-1", "expected two or more strictly decreasing step sizes"),
+    ])
+    def test_bad_list_is_a_usage_error(self, tmp_path, capsys, h_list, message):
+        out = tmp_path / "rates.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["rates", "--problem", "cubic", "--scheme", "nsfd", "--h-list", h_list,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: nsfd rates" in err and f"argument --h-list: {message}" in err
+        assert not out.exists()
+
+    def test_bad_list_in_a_config_file(self, tmp_path, capsys):
+        cfg, out = tmp_path / "rates.cfg", tmp_path / "rates.csv"
+        cfg.write_text(f"problem=cubic\nscheme=nsfd\nh-list=1e-2,1e-1\nout={out}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "rates"])
+        assert exc.value.code == 2
+        assert "strictly decreasing" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_blank_entries_are_skipped(self, tmp_path):
+        out = tmp_path / "rates.csv"
+        assert main(["rates", "--problem", "cubic", "--scheme", "nsfd",
+                     "--h-list", "1e-1, ,1e-2,", "--out", str(out)]) == 0
+        assert len(_read_csv(out)[1]) == 2
+
+
+class TestInputContractErrors:
+    RUN = ["run", "--problem", "logistic", "--scheme", "snsfd1"]
+
+    @pytest.mark.parametrize("argv, error", [
+        (RUN + ["--h", "-0.1", "--t-end", "1"], "NonPositiveStep"),
+        (RUN + ["--h", "nan", "--t-end", "1"], "NonPositiveStep"),
+        (RUN + ["--y0", "-1", "--h", "0.1", "--t-end", "1"], "NegativeState"),
+        (RUN + ["--h", "0.1", "--t-end", "-1"], "BadHorizon"),
+        (RUN + ["--h", "0.1", "--t-end", "0.01"], "ZeroStepCount"),
+        (RUN + ["--h", "1e-12", "--t-end", "1"], "StepCountOverflow"),
+        (["run-sys", "--model", "lv", "--y0", "1,-2", "--h", "0.1", "--t-end", "1"],
+         "NegativeState"),
+        (["run-sys", "--model", "sirs", "--h", "0", "--t-end", "1"], "NonPositiveStep"),
+        (["rates", "--problem", "cubic", "--scheme", "nsfd", "--t-end", "1e-9"],
+         "ZeroStepCount"),
+    ])
+    def test_usage_error_and_no_csv(self, tmp_path, capsys, argv, error):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"usage: nsfd {argv[0]}" in err and f"nsfd {argv[0]}: error: {error}: " in err
+        assert not out.exists()
+
+
 class TestCheckAndSplit:
     def test_check_derived_passes(self, tmp_path):
         out = tmp_path / "check.csv"

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from nsfd.analysis import positivity_audit
 from nsfd.errors import JacobianMissing, NegativeState, NonPositiveStep
 from nsfd.model import Representation
 from nsfd.problems import get_problem, get_scheme
+from nsfd.schemes import integrate
 from nsfd.systems import (
     DEFAULT_STARTS,
     NEAR_EQUILIBRIUM_EPS,
@@ -30,7 +32,9 @@ from nsfd.systems import (
     stability_thresholds,
     system_nsfd_step,
     system_step_map,
+    tuple_matvec,
 )
+from nsfd.systems import _float_step
 
 
 class TestSystemStep:
@@ -301,6 +305,96 @@ class TestFloatPath:
             out = system_nsfd_step(bad, cfg, np.array([2.0]), 1.0)
             lane = system_nsfd_step(bad, cfg, np.array([[2.0]]), 1.0)[0]
         assert _bits(out) == _bits(lane) == [math.inf.hex()]
+
+
+matrix_entries = st.one_of(
+    st.floats(),  # every magnitude, +-0, +-inf and nan
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]),
+)
+
+
+def _einsum_bits(J, v) -> list[str]:
+    """Bits of J.v from einsum on the tuples and on a one-lane batch (the
+    array path's layout), which must agree."""
+    with np.errstate(all="ignore"):
+        single = np.einsum("...ij,...j->...i", J, v)
+        lane = np.einsum("...ij,...j->...i", np.array([J]), np.array([v]))[0]
+    assert _bits(single) == _bits(lane)
+    return _bits(single)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(1, 9), data=st.data())
+def test_tuple_matvec_has_the_bits_of_einsum(dim, data):
+    # dims 1-7 run the two-lane float loop, longer rows einsum itself
+    rows = st.lists(matrix_entries, min_size=dim, max_size=dim).map(tuple)
+    J = tuple(data.draw(rows) for _ in range(dim))
+    v = data.draw(rows)
+    assert _bits(tuple_matvec(J, v)) == _einsum_bits(J, v)
+
+
+def test_tuple_matvec_sweep():
+    # seeded random magnitudes at every dim of the float loop, and every
+    # combination of +-0, +-1 and +-inf at dims 1 and 2
+    rng = np.random.default_rng(7)
+    for dim in range(1, 8):
+        for _ in range(500):
+            scale = 10.0 ** rng.integers(-30, 30, size=(dim + 1, dim))
+            m = (rng.standard_normal((dim + 1, dim)) * scale).tolist()
+            J, v = tuple(map(tuple, m[:dim])), tuple(m[dim])
+            assert _bits(tuple_matvec(J, v)) == _einsum_bits(J, v)
+    specials = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf)
+    for dim in (1, 2):
+        for entries in itertools.product(specials, repeat=dim * (dim + 1)):
+            J = tuple(entries[i * dim:(i + 1) * dim] for i in range(dim))
+            v = entries[dim * dim:]
+            assert _bits(tuple_matvec(J, v)) == _einsum_bits(J, v)
+
+
+class TestTupleState:
+    @settings(max_examples=300, deadline=None)
+    @given(case=system_states(), order2=st.booleans(), h=step_sizes)
+    def test_tuple_state_gives_a_tuple_with_the_array_bits(self, case, order2, h):
+        name, state = case
+        system = get_system(name)
+        cfg = _config(system, order2)
+        out = system_nsfd_step(system, cfg, tuple(state.tolist()), h)
+        assert type(out) is tuple and all(type(v) is float for v in out)
+        assert _bits(out) == _bits(system_nsfd_step(system, cfg, state, h))
+
+    @pytest.mark.parametrize("name, params, state", [
+        ("lv", {"c": -1.0}, (0.0, 1e-11)),
+        ("sirs", {"gamma": -1.0}, (0.0, 1e-11, 0.0)),
+    ])
+    @pytest.mark.parametrize("order2", [True, False])
+    def test_rerun_on_the_array_path_gives_a_tuple(self, name, params, state, order2):
+        # a positive f_minus (c or gamma < 0) with |F_i| under the cutoff
+        # gives phi_i = h and the denominator 1 - h*f_minus_i = 0 at h = 1
+        system = get_system(name, **params)
+        cfg = _config(system, order2)
+        with pytest.raises(ZeroDivisionError):
+            _float_step(system, cfg, state, 1.0)
+        with np.errstate(divide="ignore"):
+            out = system_nsfd_step(system, cfg, state, 1.0)
+            array = system_nsfd_step(system, cfg, np.array(state), 1.0)
+        assert type(out) is tuple and isinstance(array, np.ndarray)
+        assert _bits(out) == _bits(array) and math.inf in out
+
+    @pytest.mark.parametrize("name", ["lv", "sirs"])
+    @pytest.mark.parametrize("order2", [True, False])
+    def test_integrate_carries_a_tuple_start(self, name, order2):
+        system = get_system(name)
+        base = system_step_map(system, _config(system, order2))
+        seen = set()
+        step = replace(base, update=lambda s, h: seen.add(type(s)) or base.update(s, h))
+        start = tuple(float(v) for v in DEFAULT_STARTS[name])
+        from_tuple = integrate(step, start, 0.7, 70.0)
+        assert seen == {tuple}
+        seen.clear()
+        from_array = integrate(step, np.array(start), 0.7, 70.0)
+        assert seen == {np.ndarray}
+        assert from_tuple.states.tobytes() == from_array.states.tobytes()
 
 
 class TestReferenceSystemSolution:
