@@ -68,9 +68,9 @@ def phim(x):
     argument >= ``ARG_FLOOR`` (or of +-inf) does not overflow, and nan passes
     through without a warning.
     """
-    if isinstance(x, float) or np.ndim(x) == 0:
+    if type(x) is float or np.ndim(x) == 0:
         x = float(x)
-        if abs(x) < SERIES_CUTOFF:
+        if -SERIES_CUTOFF < x < SERIES_CUTOFF:
             return 1.0 - x / 2.0 + x * x / 6.0 - x * x * x / 24.0
         if x < ARG_FLOOR:
             x = ARG_FLOOR
@@ -103,12 +103,6 @@ class DenominatorSpec:
 
 def _as_float_array(v) -> np.ndarray:
     return np.asarray(v, dtype=float)
-
-
-def is_float_step(y, h) -> bool:
-    """True when a scalar step at state ``y`` with step size ``h`` takes the
-    float path: both are Python floats (numpy float64 scalars included)."""
-    return isinstance(y, float) and isinstance(h, float)
 
 
 def check_step(h) -> None:
@@ -159,9 +153,12 @@ def phi(spec: DenominatorSpec, h, y):
     is finite and > 0. When ``h`` and ``y`` are Python floats the result is
     a Python float, bit-identical to the array result at that state.
     """
+    if isinstance(h, float) and isinstance(y, float):
+        if not 0.0 < h < math.inf:
+            check_step(h)  # raises NonPositiveStep
+        return h * phim(h * float(spec.lambda_fn(y)))
     check_step(h)
-    values = float if is_float_step(y, h) else _as_float_array
-    return h * phim(h * values(spec.lambda_fn(y)))
+    return h * phim(h * _as_float_array(spec.lambda_fn(y)))
 
 
 @dataclass(frozen=True)

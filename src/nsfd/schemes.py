@@ -31,11 +31,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .denominator import DenominatorSpec, check_step, is_float_step, phi, phim
+from .denominator import DenominatorSpec, check_step, phi, phim
 from .errors import (
     BadHorizon,
     NegativeState,
@@ -48,12 +49,20 @@ from .model import Representation, ScalarProblem, SchemeConfig, Trajectory
 
 MAX_STEPS = 100_000_000
 
+#: ``integrate`` stores a carried float or tuple state in blocks of about
+#: this many floats: one array built per block, where numpy would parse
+#: every row
+FOLD_BLOCK_FLOATS = 4096
+
 
 @dataclass(frozen=True)
 class StepMap:
     """A one-step update rule y_{n+1} = update(y_n, h).
 
-    ``update`` must be deterministic and vectorized over the state argument.
+    ``update`` must be deterministic and vectorized over the state argument,
+    lane by lane: for a batch of states (scalars, or system states along the
+    last axis) with one step size each, lane i of ``update(y, h)`` depends
+    only on ``(y[i], h[i])``, bit for bit, whatever the other lanes are.
     """
 
     label: str
@@ -84,18 +93,21 @@ def nsfd_step(
 ):
     """One step of the positive nonstandard scheme. Requires y_n >= 0 and a
     finite h > 0; states with f(y_n) = 0 are returned exactly."""
-    _check_nonnegative(y_n, "nsfd_step")
-    if is_float_step(y_n, h):
+    if isinstance(y_n, float) and isinstance(h, float):
+        if y_n < 0.0:
+            _check_nonnegative(y_n, "nsfd_step")  # raises NegativeState
         y = float(y_n)
         try:
             # phi first, so that a bad h raises at an equilibrium too
-            ph = float(phi(spec, float(h), y))
+            ph = phi(spec, float(h), y)
             if float(problem.f(y)) == 0.0:
                 return y
             return weighted_update(y, ph, float(rep.f_plus(y)), float(rep.f_minus(y)),
                                    config.alpha, config.beta)
         except (OverflowError, ZeroDivisionError):
             pass  # numpy returns inf/nan here: rerun on the array path
+    else:
+        _check_nonnegative(y_n, "nsfd_step")
     y = np.asarray(y_n, dtype=float)
     fy = np.asarray(problem.f(y), dtype=float)
     ph = np.asarray(phi(spec, h, y), dtype=float)
@@ -115,10 +127,8 @@ def nsfd_step_map(
     spec: DenominatorSpec,
     label: str = "",
 ) -> StepMap:
-    return StepMap(
-        label=label or config.label or "nsfd",
-        update=lambda y, h: nsfd_step(problem, rep, config, spec, y, h),
-    )
+    return StepMap(label=label or config.label or "nsfd",
+                   update=partial(nsfd_step, problem, rep, config, spec))
 
 
 def euler_step(problem: ScalarProblem, y_n, h: float):
@@ -153,7 +163,7 @@ def _baseline_update(update: Callable, y_n, ph):
     denominator or a step size) are floats, on a float array otherwise (a
     float result for a 0-d state). Float inputs whose arithmetic raises rerun
     on the array path, which returns numpy's inf/nan instead."""
-    if is_float_step(y_n, ph):
+    if isinstance(y_n, float) and isinstance(ph, float):
         try:
             return float(update(float(y_n), float(ph)))
         except (OverflowError, ZeroDivisionError):
@@ -168,31 +178,27 @@ def wood_kojouharov_step(y_n, h: float):
     The branch follows the sign of f(y) = 2y - y^2; both branches keep
     nonnegative states nonnegative.
     """
-    check_step(h)
-
-    def grow(y, ph, fy):
-        return y + ph * fy
-
-    def decay(y, ph, fy):
-        return y * y / (y - ph * fy)
-
-    if is_float_step(y_n, h):
+    if isinstance(y_n, float) and isinstance(h, float):
+        if not 0.0 < h < math.inf:
+            check_step(h)  # raises NonPositiveStep
         y, ph = float(y_n), -float(np.expm1(-h))
         fy = 2.0 * y - y * y
         try:
-            return grow(y, ph, fy) if fy >= 0.0 else decay(y, ph, fy)
+            return y + ph * fy if fy >= 0.0 else y * y / (y - ph * fy)
         except ZeroDivisionError:
             pass  # numpy returns inf/nan here: rerun on the array path
+    else:
+        check_step(h)
     y = np.asarray(y_n, dtype=float)
     ph = -np.expm1(-h)
     fy = 2.0 * y - y * y
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(fy >= 0.0, grow(y, ph, fy), decay(y, ph, fy))
+        out = np.where(fy >= 0.0, y + ph * fy, y * y / (y - ph * fy))
     return float(out) if np.ndim(y_n) == 0 else out
 
 
 def wood_map() -> StepMap:
-    return StepMap(label="wood", update=lambda y, h: wood_kojouharov_step(y, h))
+    return StepMap(label="wood", update=wood_kojouharov_step)
 
 
 def mickens_cubic_step(y_n, h: float):
@@ -268,7 +274,10 @@ def integrate(
     The state is carried in the type it starts in: a float start as a
     Python float, a flat tuple start (one system state) as a tuple of
     Python floats, anything else as a float array. So a step map with a
-    float path runs every step on it without converting the state.
+    float path runs every step on it without converting the state. A
+    carried state is stored a block of rows at a time, about
+    ``FOLD_BLOCK_FLOATS`` floats each: the rows are collected in one flat
+    list and written as one array, so numpy does not parse a row per step.
     """
     check_step(h)
     if not 0.0 <= t_end < math.inf:
@@ -288,15 +297,23 @@ def integrate(
     start = np.asarray(y0, dtype=float)
     states = np.empty((n + 1,) + start.shape, dtype=float)
     states[0] = start
-    if start.ndim == 0:
-        y = float(start)
-    elif start.ndim == 1 and isinstance(y0, tuple):
-        y = tuple(start.tolist())
+    if start.ndim == 0 or (start.ndim == 1 and isinstance(y0, tuple)):
+        y = float(start) if start.ndim == 0 else tuple(start.tolist())
+        flat: list = []
+        store = flat.append if start.ndim == 0 else flat.extend
+        rows = max(1, FOLD_BLOCK_FLOATS // max(1, start.size))
+        for first in range(1, n + 1, rows):
+            last = min(first + rows, n + 1)
+            for _ in range(first, last):
+                y = step.update(y, h)
+                store(y)
+            states[first:last] = np.array(flat, dtype=float).reshape((last - first,) + start.shape)
+            flat.clear()
     else:
         y = start
-    for k in range(n):
-        y = step.update(y, h)
-        states[k + 1] = y
+        for k in range(n):
+            y = step.update(y, h)
+            states[k + 1] = y
     return Trajectory(
         times=np.arange(n + 1, dtype=float) * h,
         states=states,
@@ -368,18 +385,3 @@ def reference_value(problem: ScalarProblem, y0: float, t_end: float) -> float:
 
 _REFERENCE_CACHE: dict = {}
 
-
-def local_error_slope(
-    problem: ScalarProblem,
-    step: StepMap,
-    y: float,
-    h_list=(1e-1, 1e-2, 1e-3, 1e-4),
-) -> float:
-    """Fitted slope of log one-step error versus log h against the flow."""
-    errs = []
-    for h in h_list:
-        flow = reference_value(problem, y, h)
-        errs.append(abs(float(step.update(y, h)) - flow))
-    errs = np.asarray(errs)
-    keep = errs > 1e-15
-    return float(np.polyfit(np.log(np.asarray(h_list)[keep]), np.log(errs[keep]), 1)[0])

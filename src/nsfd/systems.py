@@ -33,9 +33,11 @@ A single state with a Python-float step size takes a float path: a tuple
 of Python floats runs as it is and comes back as a tuple, and an array of
 shape (dim,) becomes one on the way in and an array again on the way out.
 Lane batches and per-lane step sizes stay vectorised. Both paths evaluate
-the same expressions in the same order, so they agree bit for bit: the
-product J.F is einsum's on arrays, and on tuples a float loop that adds the
-terms in einsum's order (``tuple_matvec``). Where float arithmetic raises
+the same expressions in the same order, so they agree bit for bit. The
+float step makes one pass over the components, with the rates of
+``second_order_rates`` written per component; the product J.F is einsum's
+on arrays, and on tuples a float loop that adds the terms in einsum's
+order (``tuple_matvec``). Where float arithmetic raises
 (x/0) and numpy returns inf or nan instead, the step reruns on the array
 path. So every model callable (F, the jacobian, the splitting's f_plus and
 f_minus) is written once for both inputs: it takes a tuple of floats or a
@@ -125,16 +127,6 @@ class SystemSchemeConfig:
             raise ValueError("alphas/betas length mismatch")
 
 
-def validate_components(sys: SystemProblem, n_samples: int = 10_000) -> float:
-    """Largest violation of f_plus >= 0 >= f_minus over seeded random states
-    in the system's sampling box (0 when the signs hold)."""
-    lo, hi = sys.box
-    states = np.random.default_rng(0).uniform(lo, hi, size=(n_samples, sys.dim))
-    fp = np.asarray(sys.rep.f_plus(states), dtype=float)
-    fm = np.asarray(sys.rep.f_minus(states), dtype=float)
-    return max(float(np.max(-fp, initial=0.0)), float(np.max(fm, initial=0.0)))
-
-
 def plain_config(sys: SystemProblem, betas: Optional[tuple] = None, label: str = "plain") -> SystemSchemeConfig:
     """Config with phi_i = h (first-order positive scheme)."""
     betas = betas or tuple(1.0 for _ in range(sys.dim))
@@ -173,32 +165,31 @@ def tuple_matvec(J, v) -> list:
     even-indexed and its odd-indexed terms left to right into two sums that
     start at +0.0 (so a -0.0 product gives +0.0, as in einsum), then adds
     the two. Rows longer than ``EINSUM_TWO_LANE_MAX`` go to einsum itself."""
-    if len(v) > EINSUM_TWO_LANE_MAX:
+    n = len(v)
+    if n > EINSUM_TWO_LANE_MAX:
         return np.einsum("...ij,...j->...i", J, v).tolist()
-    evens, odds = range(0, len(v), 2), range(1, len(v), 2)
     out = []
     for row in J:
         even = odd = 0.0
-        for j in evens:
+        j = 0
+        while j + 1 < n:  # terms j and j + 1, one into each sum
             even += row[j] * v[j]
-        for j in odds:
-            odd += row[j] * v[j]
+            odd += row[j + 1] * v[j + 1]
+            j += 2
+        if j < n:
+            even += row[j] * v[j]
         out.append(even + odd)
     return out
 
 
 def second_order_rates(F, J, f_minus, betas):
     """The order-2 rates lambda_i = 2*beta_i*f_minus_i - (J F)_i / F_i of
-    every component, zero where |F_i| <= NEAR_EQUILIBRIUM_EPS.
+    every component, zero where |F_i| <= NEAR_EQUILIBRIUM_EPS, as an array.
 
-    ``F`` and ``f_minus`` have the state's shape (..., dim) and
-    ``J`` has shape (..., dim, dim); or ``F`` is a tuple of floats, ``J`` a
-    tuple of rows and the rates come back as a tuple of floats.
+    ``F`` and ``f_minus`` have the state's shape (..., dim) and ``J`` has
+    shape (..., dim, dim). The float path writes the same rate per
+    component in ``_float_step``.
     """
-    if isinstance(F, tuple):
-        # J.F in einsum's summation order, so both paths share its bits
-        return tuple([0.0 if abs(F_i) <= NEAR_EQUILIBRIUM_EPS else 2.0 * b * fm_i - jf_i / F_i
-                      for F_i, jf_i, fm_i, b in zip(F, tuple_matvec(J, F), f_minus, betas)])
     jf = np.einsum("...ij,...j->...i", J, F)
     with np.errstate(divide="ignore", invalid="ignore"):
         full = 2.0 * _weights_at(tuple(betas), np.shape(f_minus)) * f_minus - jf / F
@@ -233,7 +224,8 @@ def system_nsfd_step(sys: SystemProblem, cfg: SystemSchemeConfig, state, h):
             # one call (a nan met first fails it and the scan decides)
             if not min(x) >= 0.0 and any(-math.inf < v < 0.0 for v in x):
                 raise NegativeState("system state must be componentwise nonnegative")
-            check_step(h)
+            if not 0.0 < h < math.inf:
+                check_step(h)  # raises NonPositiveStep
             try:
                 out = _float_step(sys, cfg, x, h)
                 return out if x is state else np.array(out)
@@ -268,18 +260,21 @@ def system_nsfd_step(sys: SystemProblem, cfg: SystemSchemeConfig, state, h):
 
 
 def _float_step(sys: SystemProblem, cfg: SystemSchemeConfig, x: tuple, h: float) -> tuple:
-    """The array path of ``system_nsfd_step`` component by component on a
-    tuple of floats; the result is a tuple."""
+    """The array path of ``system_nsfd_step`` in one pass over the
+    components of a tuple of floats: the fixed point F_i = 0, the rate of
+    ``second_order_rates`` (with J.F in einsum's summation order), the
+    clamp, the kernel and the weighted update. The result is a tuple."""
     F = sys.F(x)
     fp, fm = sys.rep.f_plus(x), sys.rep.f_minus(x)
-    lams = (0.0,) * sys.dim
-    if cfg.second_order:
-        lams = second_order_rates(F, sys.jacobian(x), fm, cfg.betas)
+    jf = tuple_matvec(sys.jacobian(x), F) if cfg.second_order else (None,) * sys.dim
     out = []
-    for x_i, F_i, fp_i, fm_i, lam, a, b in zip(x, F, fp, fm, lams, cfg.alphas, cfg.betas):
+    for x_i, F_i, fp_i, fm_i, jf_i, a, b in zip(x, F, fp, fm, jf, cfg.alphas, cfg.betas):
         if F_i == 0.0:
             out.append(x_i)
             continue
+        lam = 0.0
+        if jf_i is not None and not -NEAR_EQUILIBRIUM_EPS <= F_i <= NEAR_EQUILIBRIUM_EPS:
+            lam = 2.0 * b * fm_i - jf_i / F_i
         # clip as np.clip does, letting nan through
         arg = min(max(h * lam, -KERNEL_ARG_CLAMP), KERNEL_ARG_CLAMP)
         out.append(weighted_update(x_i, h * phim(arg), fp_i, fm_i, a, b))

@@ -5,6 +5,7 @@ input runs vectorised. The two paths must agree bit for bit, raise the same
 errors, and reject the same step sizes.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -168,6 +169,28 @@ def test_non_finite_or_nonpositive_step_rejected(name, y, h):
     update = ALL_STEPS[name]
     assert outcome(update, y, h) is NonPositiveStep
     assert outcome(update, np.array([y]), h) is NonPositiveStep
+
+
+SPECIAL_STATES = (math.nan, math.inf, -math.inf, -0.0, -1.0, 1e300, 0.0)
+SPECIAL_STEPS = (0.1, 1e3, math.nan, -1.0)
+
+
+def same_up_to_nan(float_result, array_result) -> bool:
+    """``same``, except that any nan equals any nan (numpy and Python
+    arithmetic may give nan different signs)."""
+    if not isinstance(float_result, type) and not isinstance(array_result, type):
+        if type(float_result) is float and math.isnan(float_result):
+            return math.isnan(array_result[0])
+    return same(float_result, array_result)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_STEPS))
+def test_special_inputs_end_alike_on_both_paths(name):
+    # every non-finite, signed-zero, negative and huge state against good and
+    # bad step sizes: the same named error, or the same value
+    update = ALL_STEPS[name]
+    for y, h in itertools.product(SPECIAL_STATES, SPECIAL_STEPS):
+        assert same_up_to_nan(outcome(update, y, h), outcome(update, np.array([y]), h)), (y, h)
 
 
 @pytest.mark.parametrize("h", [math.nan, math.inf])

@@ -18,11 +18,11 @@ from nsfd.errors import (
     ZeroStepCount,
 )
 from nsfd.model import Representation, ScalarProblem, SchemeConfig, register_problem
-from nsfd.problems import _monod, get_problem, get_scheme
+from nsfd.problems import _monod, get_problem, get_scheme, problem_names, scheme_bundles
 from nsfd.schemes import (
+    FOLD_BLOCK_FLOATS,
     euler_step,
     integrate,
-    local_error_slope,
     mickens_cubic_step,
     mickens_monod_step,
     mickens_sine_step,
@@ -34,6 +34,7 @@ from nsfd.schemes import (
     rk2_step,
     wood_kojouharov_step,
 )
+from nsfd.systems import get_system, plain_config, second_order_config, system_step_map
 
 mp.mp.dps = 50
 
@@ -309,6 +310,18 @@ class TestIntegrate:
             traj = integrate(get_scheme("logistic", "snsfd1").step, 0.5, h, t_end)
             assert traj.states.tolist() == [0.5]
 
+    def test_float_rows_stored_in_blocks(self):
+        # the rows integrate writes a block at a time are the carried floats,
+        # on both sides of a block boundary
+        step = get_scheme("logistic", "snsfd1").step
+        for n in (0, 1, FOLD_BLOCK_FLOATS - 1, FOLD_BLOCK_FLOATS, FOLD_BLOCK_FLOATS + 1):
+            y, rows = 0.5, [0.5]
+            for _ in range(n):
+                y = step.update(y, 1e-3)
+                rows.append(y)
+            traj = integrate(step, 0.5, 1e-3, n * 1e-3)
+            assert traj.states.tobytes() == np.array(rows).tobytes(), n
+
     def test_determinism(self):
         b = get_scheme("logistic", "snsfd2")
         t1 = integrate(b.step, 0.5, 0.01, 1.0)
@@ -349,6 +362,17 @@ class TestReferenceSolution:
         # scalar RK4 loop that the shared float RK4 replaced
         traj = reference_solution(get_problem(name), 0.5, h_out=1.0, t_end=1.0, substeps=4000)
         assert float(traj.states[-1]).hex() == bits
+
+
+def local_error_slope(problem, step, y, h_list=(1e-1, 1e-2, 1e-3, 1e-4)) -> float:
+    """Fitted slope of log one-step error versus log h against the flow."""
+    errs = []
+    for h in h_list:
+        flow = reference_value(problem, y, h)
+        errs.append(abs(float(step.update(y, h)) - flow))
+    errs = np.asarray(errs)
+    keep = errs > 1e-15
+    return float(np.polyfit(np.log(np.asarray(h_list)[keep]), np.log(errs[keep]), 1)[0])
 
 
 class TestLocalOrder:
@@ -400,3 +424,54 @@ def test_fixed_point_equivalence_scan():
         disp = np.abs(np.asarray(b.step.update(ys, h)) - ys)
         fvals = np.abs(np.asarray(p.f(ys)))
         assert not np.any((disp < 1e-12) & (fvals > 1e-6))
+
+
+#: every registry step map: the scalar schemes, and lv and sirs under the
+#: plain and the order-2 config
+REGISTRY_MAPS = {f"{p}/{label}": b.step for p in problem_names()
+                 for label, b in scheme_bundles(p).items()}
+for _system in (get_system("lv"), get_system("sirs")):
+    for _cfg in (plain_config(_system), second_order_config(_system)):
+        REGISTRY_MAPS[f"{_system.name}/{_cfg.label}"] = system_step_map(_system, _cfg)
+
+LANES, LANE_STEPS = 64, 20
+
+
+def _lanes(name, rng):
+    """Seeded lane states over the model's box, every eighth at an
+    equilibrium, and one step size per lane from 1e-7 (where the kernel
+    takes its series) to 10."""
+    model = name.split("/")[0]
+    if model in ("lv", "sirs"):
+        system = get_system(model)
+        y = rng.uniform(*system.box, size=(LANES, system.dim))
+        y[::8] = np.resize(np.array(system.equilibria), (LANES // 8, system.dim))
+    else:
+        problem = get_problem(model)
+        y = rng.uniform(*problem.domain_hint, size=LANES)
+        y[::8] = np.resize([e.y_star for e in problem.equilibria], LANES // 8)
+    return y, 10.0 ** rng.uniform(-7.0, 1.0, LANES)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY_MAPS))
+def test_lane_depends_only_on_its_state_and_step(name):
+    # the StepMap lane contract: a lane run alone, in a batch and in a
+    # permuted batch gives the same bits at every step
+    step = REGISTRY_MAPS[name]
+    rng = np.random.default_rng(3)
+    y0, h = _lanes(name, rng)
+    perm = rng.permutation(LANES)
+
+    def run(y, h):
+        rows = []
+        for _ in range(LANE_STEPS):
+            y = step.update(y, h)
+            rows.append(np.array(y, dtype=float))
+        return np.stack(rows, axis=1)  # (lanes, steps) or (lanes, steps, dim)
+
+    with np.errstate(all="ignore"):
+        batch = run(y0, h)
+        permuted = run(y0[perm], h[perm])
+        alone = np.concatenate([run(y0[i:i + 1], h[i:i + 1]) for i in range(LANES)])
+    assert np.array_equal(permuted.view(np.int64), batch[perm].view(np.int64))
+    assert np.array_equal(alone.view(np.int64), batch.view(np.int64))

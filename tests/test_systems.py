@@ -11,11 +11,10 @@ from nsfd.analysis import positivity_audit
 from nsfd.errors import JacobianMissing, NegativeState, NonPositiveStep
 from nsfd.model import Representation
 from nsfd.problems import get_problem, get_scheme
-from nsfd.schemes import integrate
+from nsfd.schemes import FOLD_BLOCK_FLOATS, StepMap, integrate
 from nsfd.systems import (
     DEFAULT_STARTS,
     NEAR_EQUILIBRIUM_EPS,
-    validate_components,
     SystemProblem,
     SystemSchemeConfig,
     conserved_series,
@@ -396,6 +395,46 @@ class TestTupleState:
         assert seen == {np.ndarray}
         assert from_tuple.states.tobytes() == from_array.states.tobytes()
 
+    @pytest.mark.parametrize("name", ["lv", "sirs"])
+    def test_integrate_stores_tuple_rows_in_blocks(self, name):
+        # the rows integrate writes a block at a time are the carried states,
+        # on both sides of a block boundary
+        system = get_system(name)
+        step = system_step_map(system, second_order_config(system))
+        start = tuple(float(v) for v in DEFAULT_STARTS[name])
+        block = FOLD_BLOCK_FLOATS // system.dim
+        for n in (0, 1, block - 1, block, block + 1):
+            y, rows = start, [start]
+            for _ in range(n):
+                y = step.update(y, 1e-3)
+                rows.append(y)
+            traj = integrate(step, start, 1e-3, n * 1e-3)
+            assert traj.states.shape == (n + 1, system.dim)
+            assert traj.states.tobytes() == np.array(rows).tobytes(), n
+
+    def test_integrate_stores_a_row_rerun_on_the_array_path(self):
+        # the bad-sign system of test_float_arithmetic_errors_rerun_on_the_array_path:
+        # the fifth step, at h = 1, reruns on the array path and gives inf,
+        # and the fold stores that row like every other
+        bad = SystemProblem(
+            name="bad-sign", dim=1,
+            F=lambda s: s,
+            rep=Representation(f_plus=lambda s: pack(s, [0.0]),
+                               f_minus=lambda s: pack(s, [1.0])),
+        )
+        cfg = plain_config(bad)
+        rows = [(2.0,)]
+
+        def update(s, h):
+            rows.append(system_nsfd_step(bad, cfg, s, 1.0 if len(rows) == 5 else h))
+            return rows[-1]
+
+        with np.errstate(divide="ignore"):
+            traj = integrate(StepMap("bad-sign", update), rows[0], 0.25, 2.0)
+        assert all(type(row) is tuple for row in rows)
+        assert traj.states[5, 0] == math.inf
+        assert traj.states.tobytes() == np.array(rows).tobytes()
+
 
 class TestReferenceSystemSolution:
     @pytest.mark.parametrize("name, bits", [
@@ -553,6 +592,16 @@ class TestModelRegistry:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             get_system("rossler")
+
+
+def validate_components(sys: SystemProblem, n_samples: int = 10_000) -> float:
+    """Largest violation of f_plus >= 0 >= f_minus over seeded random states
+    in the system's sampling box (0 when the signs hold)."""
+    lo, hi = sys.box
+    states = np.random.default_rng(0).uniform(lo, hi, size=(n_samples, sys.dim))
+    fp = np.asarray(sys.rep.f_plus(states), dtype=float)
+    fm = np.asarray(sys.rep.f_minus(states), dtype=float)
+    return max(float(np.max(-fp, initial=0.0)), float(np.max(fm, initial=0.0)))
 
 
 class TestComponentSigns:
