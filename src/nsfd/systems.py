@@ -8,26 +8,31 @@ A system carries one splitting of its right-hand side, the scalar
 componentwise, with f_plus and f_minus vectors packed like the state. Each
 component is discretized the same way as the scalar method.
 
-A step evaluates F, f_plus, f_minus and, at order 2, the Jacobian once
-each at the old state, and updates all components at once with the scalar
-weighted update, so the update is fully explicit and each component has a
-nonnegative numerator over a denominator >= 1: componentwise nonnegativity
-holds for every step size.
+A step evaluates F, f_plus, f_minus and, at order 2, the product J.F of
+the Jacobian with F once each at the old state, and updates all components
+at once with the scalar weighted update, so the update is fully explicit
+and each component has a nonnegative numerator over a denominator >= 1:
+componentwise nonnegativity holds for every step size.
 
 The denominators are phi_i = h * phim(h * lambda_i), as in the scalar
 method. A plain config has lambda_i = 0, so phi_i = h. The order-2 rates
 come from matching the h^2 term of the component map against the chain
 rule:
 
-    lambda_i(x) = 2*beta_i*f_minus_i(x) - (grad f_i . F)(x) / f_i(x)
+    lambda_i(x) = 2*beta_i*f_minus_i(x) - (J(x) F(x))_i / F_i(x)
 
-computed for all components together where |f_i| exceeds the constant
-NEAR_EQUILIBRIUM_EPS, and zero elsewhere (at points where f_i vanishes both
-h^2 coefficients vanish with it). The kernel argument h*lambda_i is clamped
-to the constant trust region KERNEL_ARG_CLAMP: lambda_i grows like 1/f_i
-near a nullcline crossing, and an unclamped kernel there turns the
-denominator into an O(1) amplifier that costs a full order of measured
-convergence along orbits that cross nullclines.
+computed for all components together where |F_i| exceeds the constant
+NEAR_EQUILIBRIUM_EPS, and zero elsewhere (at points where F_i vanishes both
+h^2 coefficients vanish with it). Only the product J.F enters, so a system
+supplies its Jacobian as a linear map, ``jacobian(state, v) -> J(state).v``
+packed like the state, and never builds the matrix. The model writes out
+the terms of each row and the order in which they are added, so the bits of
+the product are plain IEEE arithmetic, the same on every numpy build. The
+kernel argument h*lambda_i is clamped to the constant trust region
+KERNEL_ARG_CLAMP: lambda_i grows like 1/F_i near a nullcline crossing, and
+an unclamped kernel there turns the denominator into an O(1) amplifier
+that costs a full order of measured convergence along orbits that cross
+nullclines.
 
 A single state with a Python-float step size takes a float path: a tuple
 of Python floats runs as it is and comes back as a tuple, and an array of
@@ -35,12 +40,12 @@ shape (dim,) becomes one on the way in and an array again on the way out.
 Lane batches and per-lane step sizes stay vectorised. Both paths evaluate
 the same expressions in the same order, so they agree bit for bit. The
 float step makes one pass over the components, with the rates of
-``second_order_rates`` written per component; the product J.F is einsum's
-on arrays, and on tuples a float loop that adds the terms in einsum's
-order (``tuple_matvec``). Where float arithmetic raises
-(x/0) and numpy returns inf or nan instead, the step reruns on the array
-path. So every model callable (F, the jacobian, the splitting's f_plus and
-f_minus) is written once for both inputs: it takes a tuple of floats or a
+``second_order_rates`` written per component and the clamp written as two
+comparisons, which let nan through and keep signed zeros as the array
+path's maximum and minimum do. Where float arithmetic raises (x/0) and
+numpy returns inf or nan instead, the step reruns on the array path. So
+every model callable (F, the jacobian, the splitting's f_plus and f_minus)
+is written once for both inputs: it takes a tuple of floats or a
 (..., dim) array, unpacks the components with ``state_parts`` and packs a
 vector result with ``pack``. It sticks to arithmetic and numpy ufuncs and
 never uses Python's ``**``, which rounds differently from numpy's power on
@@ -80,17 +85,10 @@ def state_parts(state):
 
 def pack(state, values):
     """Component values laid out like ``state``: a tuple for a tuple state,
-    otherwise a (..., len(values)) array (constants broadcast). Packing
-    packed rows gives a matrix, J[i][j] or J[..., i, j]."""
+    otherwise a (..., len(values)) array (constants broadcast)."""
     if isinstance(state, tuple):
         return tuple(values)
-    batch = np.shape(state)[:-1]
-    if np.ndim(values[0]) > len(batch):  # packed rows, written into one matrix
-        out = np.empty(batch + (len(values), np.shape(values[0])[-1]))
-        for i, row in enumerate(values):
-            out[..., i, :] = row
-        return out
-    out = np.empty(batch + (len(values),))
+    out = np.empty(np.shape(state)[:-1] + (len(values),))
     for i, v in enumerate(values):
         out[..., i] = v
     return out
@@ -102,7 +100,8 @@ class SystemProblem:
     dim: int
     F: Callable  # state -> dstate/dt
     rep: Representation  # state -> f_plus, f_minus, each packed like the state
-    jacobian: Optional[Callable] = None  # state -> (..., dim, dim) matrix, or rows of floats
+    # (state, v) -> J(state).v, packed like the state: the Jacobian as a linear map
+    jacobian: Optional[Callable] = None
     conserved: Optional[Callable] = None  # state -> float diagnostic
     equilibria: tuple = ()
     box: tuple[float, float] = (0.0, 10.0)  # sampling box for sign audits
@@ -136,9 +135,14 @@ def plain_config(sys: SystemProblem, betas: Optional[tuple] = None, label: str =
 def second_order_config(sys: SystemProblem, betas: Optional[tuple] = None,
                         label: str = "nsfd2") -> SystemSchemeConfig:
     """Config with the denominators meeting the componentwise order-2
-    matching condition; they need the system's jacobian."""
-    if sys.jacobian is None:
-        raise JacobianMissing(f"{sys.name}: order-2 denominators need a jacobian")
+    matching condition; they need the system's jacobian, called as
+    ``jacobian(state, v)`` (JacobianMissing when it is absent or cannot take
+    two positional arguments, such as a matrix-valued ``jacobian(state)``)."""
+    try:
+        inspect.signature(sys.jacobian).bind(None, None)
+    except TypeError:  # no jacobian, or one that takes the state alone
+        raise JacobianMissing(f"{sys.name}: order-2 denominators need "
+                              "jacobian(state, v) -> J(state).v, packed like the state") from None
     return replace(plain_config(sys, betas, label=label), second_order=True)
 
 
@@ -153,46 +157,16 @@ def _weights_at(weights: tuple, shape: tuple) -> np.ndarray:
     return out
 
 
-#: np.einsum sums a row of J.F up to this length in numpy's two-double SIMD
-#: loop: even and odd terms in two lanes, each from +0.0, then even + odd.
-#: Longer rows take an unrolled loop that adds in another order
-EINSUM_TWO_LANE_MAX = 7
-
-
-def tuple_matvec(J, v) -> list:
-    """J.v for a tuple of rows ``J`` and a tuple ``v`` of floats, with the
-    bits of np.einsum("...ij,...j->...i", J, v): each row adds its
-    even-indexed and its odd-indexed terms left to right into two sums that
-    start at +0.0 (so a -0.0 product gives +0.0, as in einsum), then adds
-    the two. Rows longer than ``EINSUM_TWO_LANE_MAX`` go to einsum itself."""
-    n = len(v)
-    if n > EINSUM_TWO_LANE_MAX:
-        return np.einsum("...ij,...j->...i", J, v).tolist()
-    out = []
-    for row in J:
-        even = odd = 0.0
-        j = 0
-        while j + 1 < n:  # terms j and j + 1, one into each sum
-            even += row[j] * v[j]
-            odd += row[j + 1] * v[j + 1]
-            j += 2
-        if j < n:
-            even += row[j] * v[j]
-        out.append(even + odd)
-    return out
-
-
-def second_order_rates(F, J, f_minus, betas):
+def second_order_rates(F, JF, f_minus, betas):
     """The order-2 rates lambda_i = 2*beta_i*f_minus_i - (J F)_i / F_i of
     every component, zero where |F_i| <= NEAR_EQUILIBRIUM_EPS, as an array.
 
-    ``F`` and ``f_minus`` have the state's shape (..., dim) and ``J`` has
-    shape (..., dim, dim). The float path writes the same rate per
-    component in ``_float_step``.
+    ``F``, the product ``JF`` = J.F and ``f_minus`` have the state's shape
+    (..., dim). The float path writes the same rate per component in
+    ``_float_step``.
     """
-    jf = np.einsum("...ij,...j->...i", J, F)
     with np.errstate(divide="ignore", invalid="ignore"):
-        full = 2.0 * _weights_at(tuple(betas), np.shape(f_minus)) * f_minus - jf / F
+        full = 2.0 * _weights_at(tuple(betas), np.shape(f_minus)) * f_minus - np.divide(JF, F)
     return np.where(np.abs(F) <= NEAR_EQUILIBRIUM_EPS, 0.0, full)
 
 
@@ -248,7 +222,7 @@ def system_nsfd_step(sys: SystemProblem, cfg: SystemSchemeConfig, state, h):
     fp, fm = sys.rep.f_plus(s), sys.rep.f_minus(s)
     lam = 0.0
     if cfg.second_order:
-        lam = second_order_rates(Fv, np.asarray(sys.jacobian(s), dtype=float), fm, cfg.betas)
+        lam = second_order_rates(Fv, np.asarray(sys.jacobian(s, Fv), dtype=float), fm, cfg.betas)
     # np.clip's bounds as np.maximum then np.minimum (nan passes through)
     ph = h * phim(np.minimum(np.maximum(h * lam, -KERNEL_ARG_CLAMP), KERNEL_ARG_CLAMP))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -262,11 +236,11 @@ def system_nsfd_step(sys: SystemProblem, cfg: SystemSchemeConfig, state, h):
 def _float_step(sys: SystemProblem, cfg: SystemSchemeConfig, x: tuple, h: float) -> tuple:
     """The array path of ``system_nsfd_step`` in one pass over the
     components of a tuple of floats: the fixed point F_i = 0, the rate of
-    ``second_order_rates`` (with J.F in einsum's summation order), the
-    clamp, the kernel and the weighted update. The result is a tuple."""
+    ``second_order_rates``, the clamp, the kernel and the weighted update.
+    The result is a tuple."""
     F = sys.F(x)
     fp, fm = sys.rep.f_plus(x), sys.rep.f_minus(x)
-    jf = tuple_matvec(sys.jacobian(x), F) if cfg.second_order else (None,) * sys.dim
+    jf = sys.jacobian(x, F) if cfg.second_order else (None,) * sys.dim
     out = []
     for x_i, F_i, fp_i, fm_i, jf_i, a, b in zip(x, F, fp, fm, jf, cfg.alphas, cfg.betas):
         if F_i == 0.0:
@@ -275,28 +249,19 @@ def _float_step(sys: SystemProblem, cfg: SystemSchemeConfig, x: tuple, h: float)
         lam = 0.0
         if jf_i is not None and not -NEAR_EQUILIBRIUM_EPS <= F_i <= NEAR_EQUILIBRIUM_EPS:
             lam = 2.0 * b * fm_i - jf_i / F_i
-        # clip as np.clip does, letting nan through
-        arg = min(max(h * lam, -KERNEL_ARG_CLAMP), KERNEL_ARG_CLAMP)
+        # the array path's maximum then minimum, as comparisons: nan passes
+        # through and a signed zero keeps its sign
+        arg = h * lam
+        if arg > KERNEL_ARG_CLAMP:
+            arg = KERNEL_ARG_CLAMP
+        elif arg < -KERNEL_ARG_CLAMP:
+            arg = -KERNEL_ARG_CLAMP
         out.append(weighted_update(x_i, h * phim(arg), fp_i, fm_i, a, b))
     return tuple(out)
 
 
 def system_step_map(sys: SystemProblem, cfg: SystemSchemeConfig) -> StepMap:
     return StepMap(label=cfg.label or "system-nsfd", update=partial(system_nsfd_step, sys, cfg))
-
-
-def euler_system_map(sys: SystemProblem) -> StepMap:
-    """Explicit Euler control; like ``system_nsfd_step`` it takes one step
-    size for all states or one per state (``h`` of shape (...,)), each
-    finite and > 0 (NonPositiveStep otherwise)."""
-
-    def update(s, h):
-        check_step(h)
-        if np.ndim(h):
-            h = np.asarray(h, dtype=float)[..., None]
-        return np.asarray(s, float) + h * np.asarray(sys.F(s), float)
-
-    return StepMap(label="euler", update=update)
 
 
 def integrate_system(
@@ -332,58 +297,6 @@ def reference_system_solution(sys: SystemProblem, state0, h_out: float, t_end: f
     return integrate(StepMap("reference", update), start, h_out, t_end, problem_name=sys.name)
 
 
-def step_map_jacobian(sys: SystemProblem, cfg: SystemSchemeConfig, state, h: float,
-                      eps: float = 1e-7) -> np.ndarray:
-    """Central-difference Jacobian of the one-step map at ``state``."""
-    s = np.asarray(state, dtype=float)
-    J = np.empty((sys.dim, sys.dim))
-    for j in range(sys.dim):
-        e = np.zeros(sys.dim)
-        e[j] = eps * max(1.0, abs(s[j]))
-        J[:, j] = (system_nsfd_step(sys, cfg, s + e, h) - system_nsfd_step(sys, cfg, s - e, h)) / (2 * e[j])
-    return J
-
-
-@dataclass(frozen=True)
-class StabilityThresholdRow:
-    h: float
-    rho_full: float
-    rho_transverse: float
-
-
-def stability_thresholds(
-    sys: SystemProblem,
-    cfg: SystemSchemeConfig,
-    equilibrium,
-    h_grid,
-    fixed_line_tangent=None,
-) -> list[StabilityThresholdRow]:
-    """Spectral radius of the step-map Jacobian at an equilibrium over a
-    step grid.
-
-    When the equilibrium sits on a line of equilibria (``fixed_line_tangent``
-    given), the map fixes the whole line, so one eigenvalue equals 1
-    structurally; ``rho_transverse`` excludes the eigenvalue whose
-    eigenvector aligns best with the tangent.
-    """
-    rows = []
-    for h in h_grid:
-        J = step_map_jacobian(sys, cfg, equilibrium, float(h))
-        vals, vecs = np.linalg.eig(J)
-        rho_full = float(np.max(np.abs(vals)))
-        if fixed_line_tangent is None:
-            rho_t = rho_full
-        else:
-            t = np.asarray(fixed_line_tangent, float)
-            t = t / np.linalg.norm(t)
-            align = [abs(np.vdot(t, vecs[:, k] / np.linalg.norm(vecs[:, k]))) for k in range(sys.dim)]
-            drop = int(np.argmax(align))
-            keep = [k for k in range(sys.dim) if k != drop]
-            rho_t = float(np.max(np.abs(vals[keep])))
-        rows.append(StabilityThresholdRow(h=float(h), rho_full=rho_full, rho_transverse=rho_t))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # model registry
 
@@ -396,9 +309,11 @@ def lotka_volterra(a: float = 1.0, b: float = 1.0, c: float = 1.0, e: float = 1.
         x, y = state_parts(s)
         return pack(s, [a * x - b * x * y, -c * y + e * x * y])
 
-    def jac(s):
+    def jvp(s, v):
+        # J = [[a - b*y, -b*x], [e*y, e*x - c]], each row added t0 + t1
         x, y = state_parts(s)
-        return pack(s, [pack(s, [a - b * y, -b * x]), pack(s, [e * y, e * x - c])])
+        v0, v1 = state_parts(v)
+        return pack(s, [(a - b * y) * v0 + (-b * x) * v1, (e * y) * v0 + (e * x - c) * v1])
 
     def f_plus(s):
         x, y = state_parts(s)
@@ -418,7 +333,7 @@ def lotka_volterra(a: float = 1.0, b: float = 1.0, c: float = 1.0, e: float = 1.
         dim=2,
         F=F,
         rep=Representation(f_plus=f_plus, f_minus=f_minus),
-        jacobian=jac,
+        jacobian=jvp,
         conserved=conserved,
         equilibria=(np.array([0.0, 0.0]), np.array([c / e, a / b])),
     )
@@ -441,11 +356,15 @@ def sirs(beta: float = 0.3, gamma: float = 0.1, mu: float = 0.05, N: float = 1.0
         S, I, R = state_parts(s)
         return pack(s, [mu * R - bN * S * I, bN * S * I - gamma * I, gamma * I - mu * R])
 
-    def jac(s):
+    def jvp(s, v):
+        # J = [[-bN*I, -bN*S, mu], [bN*I, bN*S - gamma, 0], [0, gamma, -mu]],
+        # each row added (t0 + t2) + t1, the order of the pinned outputs; the
+        # structural zeros stay, so inf and nan in v give the same bits
         S, I, _ = state_parts(s)
-        return pack(s, [pack(s, [-bN * I, -bN * S, mu]),
-                        pack(s, [bN * I, bN * S - gamma, 0.0]),
-                        pack(s, [0.0, gamma, -mu])])
+        v0, v1, v2 = state_parts(v)
+        return pack(s, [((-bN * I) * v0 + mu * v2) + (-bN * S) * v1,
+                        ((bN * I) * v0 + 0.0 * v2) + (bN * S - gamma) * v1,
+                        (0.0 * v0 + (-mu) * v2) + gamma * v1])
 
     def f_plus(s):
         S, I, R = state_parts(s)
@@ -467,7 +386,7 @@ def sirs(beta: float = 0.3, gamma: float = 0.1, mu: float = 0.05, N: float = 1.0
         dim=3,
         F=F,
         rep=Representation(f_plus=f_plus, f_minus=f_minus),
-        jacobian=jac,
+        jacobian=jvp,
         conserved=conserved,
         equilibria=(endemic,),
     )

@@ -18,7 +18,8 @@ from nsfd.errors import GridMismatch, SampleMismatch
 from nsfd.model import Trajectory
 from nsfd.problems import get_problem, get_scheme
 from nsfd.schemes import StepMap
-from nsfd.systems import euler_system_map, get_system, second_order_config, system_step_map
+from nsfd.systems import get_system, second_order_config, system_step_map
+from system_helpers import euler_system_map
 
 mp.mp.dps = 50
 
