@@ -12,7 +12,7 @@ from .denominator import DenominatorSpec, phi
 from .errors import GridMismatch, NegativeState, SampleMismatch
 from .model import Representation, ScalarProblem, SchemeConfig, Trajectory
 from .rootfind import scan_zeros
-from .schemes import StepMap, integrate, nsfd_step, reference_value
+from .schemes import StepMap, integrate, nsfd_step_map, reference_value
 
 #: errors below this are reported as exact to machine precision and excluded
 #: from rate fits (the log-rate of rounding noise is meaningless)
@@ -291,9 +291,8 @@ def elementary_stability_audit(
     family = rep is not None and config is not None and spec is not None
     if not family and step_map is None:
         raise ValueError("need either (rep, config, spec) or step_map")
-    update = step_map.update if step_map is not None else (
-        lambda y, h: nsfd_step(problem, rep, config, spec, y, h)
-    )
+    update = (step_map if step_map is not None
+              else nsfd_step_map(problem, rep, config, spec)).update
     label = step_map.label if step_map is not None else config.label
 
     rows: list[StabilityRow] = []

@@ -22,13 +22,22 @@ measures) but every scheme labeled "derived" uses the derived rate.
 when the step size and the state are Python floats, and stay vectorised
 otherwise; both paths evaluate the same expressions, so they agree bit for
 bit.
+
+A derived rate records what it was derived from: ``lambda_from_scheme``
+returns a partial holding ``(problem, rep, beta)``, and ``derived_from``
+reads them back. The expression -f' + 2*beta*f_minus is written once, in
+``derived_rate``, which takes the values of f' and f_minus. The weighted
+step (``schemes.nsfd_step_map``) calls it with its own f_minus value when
+the rate was derived from the step's own problem and representation, so a
+float step evaluates f_minus once for the rate and the update together.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -117,15 +126,30 @@ def check_step(h) -> None:
         raise NonPositiveStep(f"h = {h!r} must be finite and > 0")
 
 
+def derived_rate(df, fm, beta: float):
+    """The derived rate -f'(y) + 2*beta*f_minus(y) from the values df = f'(y)
+    and fm = f_minus(y); the one place this expression is written."""
+    return -df + 2.0 * beta * fm
+
+
+def _derived_lambda(problem: ScalarProblem, rep: Representation, beta: float, y):
+    values = float if isinstance(y, float) else _as_float_array
+    return derived_rate(values(problem.df(y)), values(rep.f_minus(y)), beta)
+
+
 def lambda_from_scheme(problem: ScalarProblem, rep: Representation, beta: float) -> Callable:
     """The rate function lam(y) = -f'(y) + 2*beta*f_minus(y); a Python float
-    for a float state."""
+    for a float state. It is a ``functools.partial`` holding ``(problem,
+    rep, beta)``, which ``derived_from`` reads back."""
+    return partial(_derived_lambda, problem, rep, beta)
 
-    def lam(y):
-        values = float if isinstance(y, float) else _as_float_array
-        return -values(problem.df(y)) + 2.0 * beta * values(rep.f_minus(y))
 
-    return lam
+def derived_from(rate: Callable) -> Optional[tuple]:
+    """``(problem, rep, beta)`` of a rate function made by
+    ``lambda_from_scheme``; None for any other rate function."""
+    if isinstance(rate, partial) and rate.func is _derived_lambda:
+        return rate.args
+    return None
 
 
 def derived_denominator(

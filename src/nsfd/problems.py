@@ -30,8 +30,8 @@ from .model import (
 from .schemes import (
     StepMap,
     euler_map,
-    mickens_cubic_step,
-    mickens_sine_step,
+    mickens_cubic_map,
+    mickens_sine_map,
     nsfd_step_map,
     rk2_map,
     wood_map,
@@ -226,7 +226,7 @@ def _cubic_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
         ),
         "mickens": SchemeBundle(
             label="mickens",
-            step=StepMap(label="mickens", update=lambda y, h: mickens_cubic_step(y, h)),
+            step=mickens_cubic_map(),
             positive=True,
             elementary_stable=True,
             description="maximum-symmetry scheme, phi = (1 - e^{-2h})/2",
@@ -254,7 +254,7 @@ def _sine_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
         ),
         "mickens": SchemeBundle(
             label="mickens",
-            step=StepMap(label="mickens", update=lambda y, h: mickens_sine_step(y, h)),
+            step=mickens_sine_map(),
             positive=True,
             elementary_stable=True,
             description="one-sided scheme, phi = (1 - e^{-pi h})/pi",

@@ -24,6 +24,18 @@ right-hand-side callables receive Python floats, so they must compute the
 same value for a float as for a one-element array: arithmetic and numpy
 ufuncs do, while Python's ``**`` on floats rounds differently from
 ``np.power`` (write ``y * y`` or ``np.power(y, m)``).
+
+Each step map is bound once. ``nsfd_step_map`` returns one closure holding
+the model callables, the weights and the denominator; ``nsfd_step`` and the
+stability audit call it, so the weighted step has one float and one array
+implementation. With a rate derived from the step's own problem and
+representation, a float step evaluates f, f', f_plus and f_minus once each.
+The Wood-Kojouharov and Mickens cubic and sine maps keep their phi, which
+depends on h alone, in a one-entry memo per map (``_h_memo``): only an h
+that passed ``check_step`` is stored, an array h never is, and the entry is
+one ``(h, phi)`` tuple replaced whole, so threads sharing a map never pair
+one h with another h's phi. ``np.expm1`` stays, since ``math.expm1``
+differs from it in the last bit.
 """
 
 from __future__ import annotations
@@ -31,12 +43,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .denominator import DenominatorSpec, check_step, phi, phim
+from .denominator import DenominatorSpec, check_step, derived_from, derived_rate, phi, phim
 from .errors import (
     BadHorizon,
     NegativeState,
@@ -83,6 +94,60 @@ def weighted_update(y, ph, fp, fm, alpha: float, beta: float):
     return (y + ph * fp + ph * (alpha * y * fm)) / (1.0 - ph * beta * fm)
 
 
+def nsfd_step_map(
+    problem: ScalarProblem,
+    rep: Representation,
+    config: SchemeConfig,
+    spec: DenominatorSpec,
+    label: str = "",
+) -> StepMap:
+    """The positive nonstandard scheme as a step map, bound once.
+
+    ``update(y_n, h)`` requires y_n >= 0 (NegativeState, checked first) and
+    a finite h > 0 (NonPositiveStep); states with f(y_n) = 0 are returned
+    exactly. When the rate of ``spec`` was derived from this very
+    ``problem`` and ``rep`` (``derived_from``, compared by identity), the
+    float step hands its f_minus value to ``derived_rate``; any other rate
+    goes through ``spec.lambda_fn``.
+    """
+    f, f_plus, f_minus, df = problem.f, rep.f_plus, rep.f_minus, problem.df
+    alpha, beta = config.alpha, config.beta
+    rate = spec.lambda_fn
+    source = derived_from(rate)
+    shared = source is not None and source[0] is problem and source[1] is rep
+    rate_beta = source[2] if shared else None
+
+    def update(y_n, h):
+        if isinstance(y_n, float) and isinstance(h, float):
+            y, h = float(y_n), float(h)  # numpy float scalars are floats too
+            if y < 0.0:
+                _check_nonnegative(y, "nsfd_step")  # raises NegativeState
+            if not 0.0 < h < math.inf:
+                check_step(h)  # raises NonPositiveStep, at an equilibrium too
+            try:
+                fm = float(f_minus(y))
+                lam = derived_rate(float(df(y)), fm, rate_beta) if shared else float(rate(y))
+                ph = h * phim(h * lam)
+                if float(f(y)) == 0.0:
+                    return y
+                return weighted_update(y, ph, float(f_plus(y)), fm, alpha, beta)
+            except (OverflowError, ZeroDivisionError):
+                pass  # numpy returns inf/nan here: rerun on the array path
+        _check_nonnegative(y_n, "nsfd_step")
+        y = np.asarray(y_n, dtype=float)
+        fy = np.asarray(f(y), dtype=float)
+        ph = np.asarray(phi(spec, h, y), dtype=float)
+        fp = np.asarray(f_plus(y), dtype=float)
+        fm = np.asarray(f_minus(y), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = weighted_update(y, ph, fp, fm, alpha, beta)
+        if not fy.all():  # some lane has f = 0 (nan counts as nonzero): fix it exactly
+            out = np.where(fy == 0.0, y, out)
+        return float(out) if np.ndim(y_n) == 0 else out
+
+    return StepMap(label=label or config.label or "nsfd", update=update)
+
+
 def nsfd_step(
     problem: ScalarProblem,
     rep: Representation,
@@ -91,44 +156,9 @@ def nsfd_step(
     y_n,
     h: float,
 ):
-    """One step of the positive nonstandard scheme. Requires y_n >= 0 and a
-    finite h > 0; states with f(y_n) = 0 are returned exactly."""
-    if isinstance(y_n, float) and isinstance(h, float):
-        if y_n < 0.0:
-            _check_nonnegative(y_n, "nsfd_step")  # raises NegativeState
-        y = float(y_n)
-        try:
-            # phi first, so that a bad h raises at an equilibrium too
-            ph = phi(spec, float(h), y)
-            if float(problem.f(y)) == 0.0:
-                return y
-            return weighted_update(y, ph, float(rep.f_plus(y)), float(rep.f_minus(y)),
-                                   config.alpha, config.beta)
-        except (OverflowError, ZeroDivisionError):
-            pass  # numpy returns inf/nan here: rerun on the array path
-    else:
-        _check_nonnegative(y_n, "nsfd_step")
-    y = np.asarray(y_n, dtype=float)
-    fy = np.asarray(problem.f(y), dtype=float)
-    ph = np.asarray(phi(spec, h, y), dtype=float)
-    fp = np.asarray(rep.f_plus(y), dtype=float)
-    fm = np.asarray(rep.f_minus(y), dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = weighted_update(y, ph, fp, fm, config.alpha, config.beta)
-    if not fy.all():  # some lane has f = 0 (nan counts as nonzero): fix it exactly
-        out = np.where(fy == 0.0, y, out)
-    return float(out) if np.ndim(y_n) == 0 else out
-
-
-def nsfd_step_map(
-    problem: ScalarProblem,
-    rep: Representation,
-    config: SchemeConfig,
-    spec: DenominatorSpec,
-    label: str = "",
-) -> StepMap:
-    return StepMap(label=label or config.label or "nsfd",
-                   update=partial(nsfd_step, problem, rep, config, spec))
+    """One step of the positive nonstandard scheme (see ``nsfd_step_map``,
+    which binds the step once for repeated use)."""
+    return nsfd_step_map(problem, rep, config, spec).update(y_n, h)
 
 
 def euler_step(problem: ScalarProblem, y_n, h: float):
@@ -162,53 +192,88 @@ def _baseline_update(update: Callable, y_n, ph):
     """``update(y, ph)`` on Python floats when ``y_n`` and ``ph`` (a
     denominator or a step size) are floats, on a float array otherwise (a
     float result for a 0-d state). Float inputs whose arithmetic raises rerun
-    on the array path, which returns numpy's inf/nan instead."""
+    on the array path, which returns numpy's inf/nan instead, silently like
+    the float path."""
     if isinstance(y_n, float) and isinstance(ph, float):
         try:
             return float(update(float(y_n), float(ph)))
         except (OverflowError, ZeroDivisionError):
-            pass
+            with np.errstate(over="ignore", invalid="ignore"):
+                return float(update(np.asarray(y_n, dtype=float), ph))
     out = update(np.asarray(y_n, dtype=float), ph)
     return float(out) if np.ndim(y_n) == 0 else out
 
 
-def wood_kojouharov_step(y_n, h: float):
+def _h_memo(of_h: Callable) -> Callable:
+    """``of_h(h)`` after ``check_step(h)``, with a one-entry memo for a float
+    h: a fold steps at one h. Only an h that passed the check is stored, so
+    a hit needs no check, and an array h is never stored. The entry is read
+    and replaced as one ``(h, value)`` tuple, so a thread never sees a torn
+    pair; threads that miss together each compute the value."""
+    entry = (math.nan, math.nan)  # nan equals no h
+
+    def at(h):
+        nonlocal entry
+        if not isinstance(h, float):
+            check_step(h)
+            return of_h(h)
+        key, value = entry
+        if key != h:
+            check_step(h)
+            value = of_h(h)
+            entry = (h, value)
+        return value
+
+    return at
+
+
+def wood_map() -> StepMap:
     """Branching positive scheme for the logistic equation, phi = 1 - e^{-h}.
 
     The branch follows the sign of f(y) = 2y - y^2; both branches keep
     nonnegative states nonnegative.
     """
-    if isinstance(y_n, float) and isinstance(h, float):
-        if not 0.0 < h < math.inf:
-            check_step(h)  # raises NonPositiveStep
-        y, ph = float(y_n), -float(np.expm1(-h))
+    phi_at = _h_memo(lambda h: -float(np.expm1(-h)))
+
+    def update(y_n, h):
+        if isinstance(y_n, float) and isinstance(h, float):
+            y, ph = float(y_n), phi_at(h)  # checks h unless memoised
+            fy = 2.0 * y - y * y
+            try:
+                return y + ph * fy if fy >= 0.0 else y * y / (y - ph * fy)
+            except ZeroDivisionError:
+                pass  # numpy returns inf/nan here: rerun on the array path
+        else:
+            check_step(h)
+        y = np.asarray(y_n, dtype=float)
+        ph = -np.expm1(-h)
         fy = 2.0 * y - y * y
-        try:
-            return y + ph * fy if fy >= 0.0 else y * y / (y - ph * fy)
-        except ZeroDivisionError:
-            pass  # numpy returns inf/nan here: rerun on the array path
-    else:
-        check_step(h)
-    y = np.asarray(y_n, dtype=float)
-    ph = -np.expm1(-h)
-    fy = 2.0 * y - y * y
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(fy >= 0.0, y + ph * fy, y * y / (y - ph * fy))
-    return float(out) if np.ndim(y_n) == 0 else out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(fy >= 0.0, y + ph * fy, y * y / (y - ph * fy))
+        return float(out) if np.ndim(y_n) == 0 else out
+
+    return StepMap(label="wood", update=update)
 
 
-def wood_map() -> StepMap:
-    return StepMap(label="wood", update=wood_kojouharov_step)
+def wood_kojouharov_step(y_n, h: float):
+    """One step of ``wood_map``'s scheme; h must be finite and > 0."""
+    return wood_map().update(y_n, h)
+
+
+def mickens_cubic_map() -> StepMap:
+    """First-order nonstandard scheme for y' = y(1 - y^2) with maximum
+    symmetry in the cubic term; phi = (1 - e^{-2h})/2."""
+    phi_at = _h_memo(lambda h: 0.5 * (-np.expm1(-2.0 * h)))
+
+    def update(y, ph):
+        return y * ((2.0 + ph) + ph * y * y) / ((2.0 - ph) + 3.0 * ph * y * y)
+
+    return StepMap(label="mickens", update=lambda y_n, h: _baseline_update(update, y_n, phi_at(h)))
 
 
 def mickens_cubic_step(y_n, h: float):
-    """First-order nonstandard scheme for y' = y(1 - y^2) with maximum
-    symmetry in the cubic term; phi = (1 - e^{-2h})/2."""
-    check_step(h)
-    return _baseline_update(
-        lambda y, ph: y * ((2.0 + ph) + ph * y * y) / ((2.0 - ph) + 3.0 * ph * y * y),
-        y_n, 0.5 * (-np.expm1(-2.0 * h)),
-    )
+    """One step of ``mickens_cubic_map``'s scheme."""
+    return mickens_cubic_map().update(y_n, h)
 
 
 def mickens_monod_step(y_n, h: float, mu: float):
@@ -226,11 +291,17 @@ def mickens_monod_step(y_n, h: float, mu: float):
     return _baseline_update(update, y_n, h * phim(R * h))
 
 
-def mickens_sine_step(y_n, h: float):
+def mickens_sine_map() -> StepMap:
     """First-order nonstandard scheme for y' = sin(pi*y);
     phi = (1 - e^{-pi*h})/pi < 1/pi keeps iterates inside [0, inf)."""
-    check_step(h)
-    return _baseline_update(lambda y, ph: y + ph * np.sin(np.pi * y), y_n, h * phim(np.pi * h))
+    phi_at = _h_memo(lambda h: h * phim(np.pi * h))
+    update = lambda y, ph: y + ph * np.sin(np.pi * y)  # noqa: E731
+    return StepMap(label="mickens", update=lambda y_n, h: _baseline_update(update, y_n, phi_at(h)))
+
+
+def mickens_sine_step(y_n, h: float):
+    """One step of ``mickens_sine_map``'s scheme."""
+    return mickens_sine_map().update(y_n, h)
 
 
 def powerlaw_nsfd_step(a: float, b: float, m: int, y_n, h: float):

@@ -86,7 +86,9 @@ class TestRun:
         _, rows = _read_csv(out)
         assert len(rows) == 11
         assert not math.isfinite(float(rows[-1][1]))
-        assert "final y = -inf" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "final y = -inf" in captured.out
+        assert "RuntimeWarning" not in captured.err
 
 
 #: sha256 of ``run-sys --h 0.1 --t-end 10`` CSVs, pinned from the

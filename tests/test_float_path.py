@@ -13,10 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsfd.denominator import ARG_FLOOR, SERIES_CUTOFF, phi
+from nsfd.denominator import ARG_FLOOR, SERIES_CUTOFF, DenominatorSpec, derived_from, phi
 from nsfd.errors import NonPositiveStep, NsfdError
 from nsfd.problems import get_problem, problem_names, scheme_bundles
-from nsfd.schemes import mickens_monod_step, powerlaw_nsfd_step
+from nsfd.schemes import mickens_monod_step, nsfd_step_map, powerlaw_nsfd_step
 
 #: every registry scheme with a float path (the weighted family bundles,
 #: wood and the Mickens schemes), plus the standalone Monod and power-law steps
@@ -152,8 +152,20 @@ bad_steps = st.one_of(
 )
 
 
-#: every scalar step: the float-path cases and all Euler/RK2 baselines
-ALL_STEPS = BIT_IDENTICAL | {
+#: the weighted steps with a derived rate, rebuilt with the rate wrapped so
+#: that the float step calls it instead of sharing its f_minus value
+VIA_LAMBDA_FN = {
+    f"{pname}/{label} via lambda_fn": nsfd_step_map(
+        get_problem(pname), b.rep, b.config,
+        DenominatorSpec(lambda_fn=lambda y, lam=b.spec.lambda_fn: lam(y))).update
+    for pname in problem_names()
+    for label, b in scheme_bundles(pname).items()
+    if b.spec is not None and derived_from(b.spec.lambda_fn) is not None
+}
+
+#: every scalar step: the float-path cases, all Euler/RK2 baselines, and the
+#: weighted steps that go through lambda_fn
+ALL_STEPS = BIT_IDENTICAL | VIA_LAMBDA_FN | {
     f"powerlaw/{label}": scheme_bundles("powerlaw")[label].step.update for label in ("euler", "rk2")
 }
 

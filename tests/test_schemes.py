@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsfd.denominator import derived_denominator
+from nsfd.denominator import DenominatorSpec, derived_denominator, derived_from
 from nsfd.errors import (
     BadHorizon,
     NegativeState,
@@ -23,8 +25,10 @@ from nsfd.schemes import (
     FOLD_BLOCK_FLOATS,
     euler_step,
     integrate,
+    mickens_cubic_map,
     mickens_cubic_step,
     mickens_monod_step,
+    mickens_sine_map,
     mickens_sine_step,
     nsfd_step,
     nsfd_step_map,
@@ -33,6 +37,7 @@ from nsfd.schemes import (
     reference_value,
     rk2_step,
     wood_kojouharov_step,
+    wood_map,
 )
 from nsfd.systems import get_system, plain_config, second_order_config, system_step_map
 
@@ -111,6 +116,68 @@ class TestNsfdStep:
         ys = np.array([0.0, 0.5, 2.0, 7.0])
         got = self.step(ys, 0.3)
         np.testing.assert_allclose(got, [self.step(float(y), 0.3) for y in ys], rtol=1e-15)
+
+
+def _bits(x) -> int:
+    return int(np.array([x], dtype=float).view(np.int64)[0])
+
+
+def _counted(calls: Counter, name: str, fn):
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return counted
+
+
+def _counted_records(problem, rep, calls: Counter):
+    """The problem and representation records, replaced with callables that
+    count their calls, as the benchmark's traced replay builds them."""
+    return (replace(problem, f=_counted(calls, "f", problem.f), df=_counted(calls, "df", problem.df)),
+            replace(rep, f_plus=_counted(calls, "f_plus", rep.f_plus),
+                    f_minus=_counted(calls, "f_minus", rep.f_minus)))
+
+
+#: registry bundles whose denominator is derived from their own records
+DERIVED_BUNDLES = sorted(f"{p}/{label}" for p in problem_names()
+                         for label, b in scheme_bundles(p).items()
+                         if b.spec is not None and derived_from(b.spec.lambda_fn) is not None)
+
+
+@pytest.mark.parametrize("name", DERIVED_BUNDLES)
+def test_derived_float_step_calls_each_callable_once(name):
+    # the rate shares the update's f_minus value: one call of each callable
+    pname, label = name.split("/")
+    problem, b = get_problem(pname), get_scheme(pname, label)
+    source = derived_from(b.spec.lambda_fn)
+    assert source[0] is problem and source[1] is b.rep and source[2] == b.config.beta
+    calls = Counter()
+    p, rep = _counted_records(problem, b.rep, calls)
+    step = nsfd_step_map(p, rep, b.config, derived_denominator(p, rep, b.config.beta))
+    for y, h in [(0.5, 0.1), (0.25, 1e-3), (3.5, 1.25)]:
+        calls.clear()
+        assert _bits(step.update(y, h)) == _bits(b.step.update(y, h))
+        assert calls == {"f": 1, "df": 1, "f_plus": 1, "f_minus": 1}, (y, h)
+
+
+def test_other_rates_go_through_lambda_fn():
+    # a rate derived from another record, or written by hand, is called as
+    # it is; the update then evaluates f_minus itself
+    problem, b = get_problem("logistic"), get_scheme("logistic", "snsfd1")
+    calls = Counter()
+    p, rep = _counted_records(problem, b.rep, calls)
+    derived = derived_denominator(p, rep, 1.25).lambda_fn
+    specs = {
+        "another rep": derived_denominator(p, replace(rep), 1.25),
+        "another problem": derived_denominator(replace(p), rep, 1.25),
+        "hand-written": DenominatorSpec(lambda_fn=_counted(calls, "lambda_fn", derived)),
+    }
+    for name, spec in specs.items():
+        step = nsfd_step_map(p, rep, b.config, spec)
+        calls.clear()
+        assert _bits(step.update(0.5, 0.1)) == _bits(b.step.update(0.5, 0.1)), name
+        assert calls["f_minus"] == 2 and calls["f"] == calls["df"] == calls["f_plus"] == 1, name
+    assert calls["lambda_fn"] == 1
 
 
 class TestBaselines:
@@ -198,6 +265,37 @@ class TestMickensSteps:
             for h in (0.05, 0.8, 12.0):
                 family = nsfd_step(p, b.rep, b.config, b.spec, y, h)
                 assert family == pytest.approx(mickens_monod_step(y, h, mu=2.0), rel=1e-13)
+
+
+#: the steps whose float path takes phi from a one-entry memo of h
+MEMO_MAPS = {"logistic/wood": wood_map, "cubic/mickens": mickens_cubic_map,
+             "sine/mickens": mickens_sine_map}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_MAPS))
+def test_memoised_phi_gives_the_bits_of_a_fresh_array_step(name):
+    # alternating step sizes, two maps interleaved at different step sizes
+    make = MEMO_MAPS[name]
+    first, second = make(), make()
+    y1 = y2 = 0.5
+    for k in range(40):
+        h1, h2 = (1e-1, 1e-3)[k % 2], (1e-3, 1e-1, 0.37)[k % 3]
+        want1, want2 = make().update(np.array([y1]), h1)[0], make().update(np.array([y2]), h2)[0]
+        y1, y2 = first.update(y1, h1), second.update(y2, h2)
+        assert type(y1) is float and _bits(y1) == _bits(want1), k
+        assert type(y2) is float and _bits(y2) == _bits(want2), k
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_MAPS))
+def test_memo_never_keeps_a_bad_step(name):
+    make = MEMO_MAPS[name]
+    step = make()
+    step.update(0.5, 0.1)
+    for bad in (math.nan, math.nan, 0.0, 0.0, -0.1, -0.1, math.inf, math.inf):
+        with pytest.raises(NonPositiveStep):
+            step.update(0.5, bad)
+        for h in (0.1, 0.2):  # the memoised h, then a new one
+            assert _bits(step.update(0.5, h)) == _bits(make().update(np.array([0.5]), h)[0])
 
 
 class TestPowerlaw:
