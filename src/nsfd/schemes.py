@@ -36,13 +36,21 @@ that passed ``check_step`` is stored, an array h never is, and the entry is
 one ``(h, phi)`` tuple replaced whole, so threads sharing a map never pair
 one h with another h's phi. ``np.expm1`` stays, since ``math.expm1``
 differs from it in the last bit.
+
+The fourth-order oracle behind ``reference_solution`` and the systems'
+reference (``rk4``) is a loop written out component by component,
+generated and compiled once per state dimension (``_rk4_loop``); the
+scalar oracle is its dim-1 case. It evaluates the classical method's
+expressions in their usual order, F four times per substep.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -396,17 +404,50 @@ def integrate(
 
 def rk4(F: Callable, y0: tuple, t_end: float, n: int) -> tuple:
     """n classical fourth-order steps of y' = F(y) from y0 over [0, t_end],
-    on Python floats: the state and the values of F are tuples of floats."""
-    y = y0
+    on Python floats: the state and the values of F are tuples of floats.
+
+    The loop is ``_rk4_loop(len(y0))``, written out per component; an F
+    that returns a different number of components fails to unpack, and
+    the ValueError names the expected count."""
+    return _rk4_loop(len(y0))(F, y0, t_end, n)
+
+
+@lru_cache(maxsize=None)
+def _rk4_loop(dim: int) -> Callable:
+    """The ``rk4`` loop for states of ``dim`` components, generated once per
+    dim. Every component is a local and every stage is written out
+    component by component, so no tuple is zipped or rebuilt per stage; the
+    expressions and their order are the classical method's, as in
+
+        y_i + half * k1_i,   y_i + h * k3_i,
+        y_i + sixth * (k1_i + 2.0 * k2_i + 2.0 * k3_i + k4_i).
+
+    The code is compiled under the file name ``<nsfd.schemes rk4, dim=N>``
+    in a scope named ``nsfd.schemes``, with its source in ``linecache``, so
+    tracebacks show its lines and warning filters on the package apply."""
+
+    def each(term: str) -> str:  # dim terms, comma-terminated: a tuple for any dim
+        return ", ".join(term.format(i=i) for i in range(dim)) + ","
+
+    y = each("y{i}")
+    source = f"""\
+def rk4(F, y, t_end, n):
+    {y} = y
     h = t_end / n
     half, sixth = 0.5 * h, h / 6.0
     for _ in range(n):
-        k1 = F(y)
-        k2 = F(tuple([v + half * k for v, k in zip(y, k1)]))
-        k3 = F(tuple([v + half * k for v, k in zip(y, k2)]))
-        k4 = F(tuple([v + h * k for v, k in zip(y, k3)]))
-        y = tuple([v + sixth * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-    return y
+        {each("a{i}")} = F(({y}))
+        {each("b{i}")} = F(({each("y{i} + half * a{i}")}))
+        {each("c{i}")} = F(({each("y{i} + half * b{i}")}))
+        {each("d{i}")} = F(({each("y{i} + h * c{i}")}))
+        {y} = {each("y{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})")}
+    return ({y})
+"""
+    filename = f"<nsfd.schemes rk4, dim={dim}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    scope = {"__name__": __name__}
+    exec(compile(source, filename, "exec"), scope)
+    return scope["rk4"]
 
 
 def reference_solution(

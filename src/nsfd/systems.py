@@ -187,6 +187,7 @@ def system_nsfd_step(sys: SystemProblem, cfg: SystemSchemeConfig, state, h):
     the exact fixed points F_i = 0 cost a mask only when some F_i is zero.
     """
     if isinstance(h, float):
+        h = float(h)  # numpy float scalars are floats too
         if isinstance(state, tuple) and isinstance(state[0], float):
             x = state
         elif np.shape(state) == (sys.dim,):
@@ -225,7 +226,7 @@ def system_nsfd_step(sys: SystemProblem, cfg: SystemSchemeConfig, state, h):
         lam = second_order_rates(Fv, np.asarray(sys.jacobian(s, Fv), dtype=float), fm, cfg.betas)
     # np.clip's bounds as np.maximum then np.minimum (nan passes through)
     ph = h * phim(np.minimum(np.maximum(h * lam, -KERNEL_ARG_CLAMP), KERNEL_ARG_CLAMP))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         update = weighted_update(s, ph, fp, fm, _weights_at(tuple(cfg.alphas), s.shape),
                                  _weights_at(tuple(cfg.betas), s.shape))
     if not Fv.all():  # some component with F_i = 0 (nan counts as nonzero)

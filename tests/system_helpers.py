@@ -1,5 +1,6 @@
-"""Controls and probes for the systems tests: the explicit Euler control and
-the step-map spectral radius at an equilibrium.
+"""Controls and probes for the systems tests: the explicit Euler control,
+the step-map spectral radius at an equilibrium, and the RK4 loop over
+zipped tuples that the generated oracle loop is checked against.
 
 The spectral radius rests on a central-difference (secant) Jacobian of the
 one-step map, which is not differentiable at its equilibria (the order-2
@@ -10,6 +11,7 @@ not a library claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +32,23 @@ def euler_system_map(sys: SystemProblem) -> StepMap:
         return np.asarray(s, float) + h * np.asarray(sys.F(s), float)
 
     return StepMap(label="euler", update=update)
+
+
+def rk4_reference(F: Callable, y0: tuple, t_end: float, n: int) -> tuple:
+    """``nsfd.schemes.rk4`` as one loop for every dimension: each stage
+    zips the state with the previous stage's values into a new tuple. (zip
+    stops at the shorter tuple, so an F with too few values goes unnoticed
+    here.)"""
+    y = y0
+    h = t_end / n
+    half, sixth = 0.5 * h, h / 6.0
+    for _ in range(n):
+        k1 = F(y)
+        k2 = F(tuple([v + half * k for v, k in zip(y, k1)]))
+        k3 = F(tuple([v + half * k for v, k in zip(y, k2)]))
+        k4 = F(tuple([v + h * k for v, k in zip(y, k3)]))
+        y = tuple([v + sixth * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    return y
 
 
 def step_map_jacobian(sys: SystemProblem, cfg: SystemSchemeConfig, state, h: float,

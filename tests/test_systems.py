@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from nsfd.analysis import positivity_audit
 from nsfd.errors import JacobianMissing, NegativeState, NonPositiveStep
 from nsfd.model import Representation
 from nsfd.problems import get_problem, get_scheme
-from nsfd.schemes import FOLD_BLOCK_FLOATS, StepMap, integrate
+from nsfd.schemes import FOLD_BLOCK_FLOATS, StepMap, integrate, rk4
 from nsfd.systems import (
     DEFAULT_STARTS,
     NEAR_EQUILIBRIUM_EPS,
@@ -31,7 +32,7 @@ from nsfd.systems import (
     system_step_map,
 )
 from nsfd.systems import _float_step
-from system_helpers import euler_system_map, stability_thresholds
+from system_helpers import euler_system_map, rk4_reference, stability_thresholds
 
 
 class TestSystemStep:
@@ -298,9 +299,8 @@ class TestFloatPath:
                                f_minus=lambda s: pack(s, [1.0])),
         )
         cfg = plain_config(bad)
-        with np.errstate(divide="ignore"):
-            out = system_nsfd_step(bad, cfg, np.array([2.0]), 1.0)
-            lane = system_nsfd_step(bad, cfg, np.array([[2.0]]), 1.0)[0]
+        out = system_nsfd_step(bad, cfg, np.array([2.0]), 1.0)
+        lane = system_nsfd_step(bad, cfg, np.array([[2.0]]), 1.0)[0]
         assert _bits(out) == _bits(lane) == [math.inf.hex()]
 
 
@@ -327,11 +327,32 @@ class TestTupleState:
         cfg = _config(system, order2)
         with pytest.raises(ZeroDivisionError):
             _float_step(system, cfg, state, 1.0)
-        with np.errstate(divide="ignore"):
-            out = system_nsfd_step(system, cfg, state, 1.0)
-            array = system_nsfd_step(system, cfg, np.array(state), 1.0)
+        out = system_nsfd_step(system, cfg, state, 1.0)
+        array = system_nsfd_step(system, cfg, np.array(state), 1.0)
         assert type(out) is tuple and isinstance(array, np.ndarray)
         assert _bits(out) == _bits(array) and math.inf in out
+
+    @pytest.mark.parametrize("name, params, state", [
+        ("lv", {}, (2.0, 0.5)),
+        ("sirs", {}, (0.9, 0.1, 0.0)),
+        # the states of test_rerun_on_the_array_path_gives_a_tuple: at h = 1
+        # the float step divides by zero and reruns on the array path
+        ("lv", {"c": -1.0}, (0.0, 1e-11)),
+        ("sirs", {"gamma": -1.0}, (0.0, 1e-11, 0.0)),
+    ])
+    @pytest.mark.parametrize("order2", [True, False])
+    @pytest.mark.parametrize("h", [1e-3, 0.7, 1.0])
+    def test_numpy_float_step_size_runs_on_python_floats(self, name, params, state, order2, h):
+        # np.float64 is a float: the step takes it as a Python float, so no
+        # component is computed in numpy scalar arithmetic
+        system = get_system(name, **params)
+        cfg = _config(system, order2)
+        # no errstate here: the array-path rerun is silent, and the suite
+        # turns a RuntimeWarning from the package into an error
+        expected = system_nsfd_step(system, cfg, state, h)
+        out = system_nsfd_step(system, cfg, state, np.float64(h))
+        assert type(out) is tuple and all(type(v) is float for v in out)
+        assert _bits(out) == _bits(expected)
 
     @pytest.mark.parametrize("name", ["lv", "sirs"])
     @pytest.mark.parametrize("order2", [True, False])
@@ -382,8 +403,7 @@ class TestTupleState:
             rows.append(system_nsfd_step(bad, cfg, s, 1.0 if len(rows) == 5 else h))
             return rows[-1]
 
-        with np.errstate(divide="ignore"):
-            traj = integrate(StepMap("bad-sign", update), rows[0], 0.25, 2.0)
+        traj = integrate(StepMap("bad-sign", update), rows[0], 0.25, 2.0)
         assert all(type(row) is tuple for row in rows)
         assert traj.states[5, 0] == math.inf
         assert traj.states.tobytes() == np.array(rows).tobytes()
@@ -399,6 +419,68 @@ class TestReferenceSystemSolution:
         ref = reference_system_solution(get_system(name), DEFAULT_STARTS[name], h_out=10.0,
                                         t_end=10.0, substeps=40_000)
         assert _bits(ref.final_state) == bits
+
+
+def _logistic_F(y):
+    (v,) = y
+    return (v * (2.0 - v),)
+
+
+#: (F, dim): the registry systems, the ring of every dim from 1 to 9 and a
+#: scalar right-hand side, each on tuples of floats
+RK4_CASES = st.one_of(
+    st.sampled_from(["lv", "sirs"]).map(lambda name: (get_system(name).F, get_system(name).dim)),
+    st.integers(1, 9).map(lambda dim: (ring(dim).F, dim)),
+    st.just((_logistic_F, 1)),
+)
+
+
+class TestRk4Loop:
+    """The generated per-dimension loop of ``rk4`` against the zipped loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=RK4_CASES, data=st.data(), t_end=st.floats(1e-6, 20.0),
+           n=st.one_of(st.just(1), st.integers(1, 60)))
+    def test_matches_the_zipped_loop_bit_for_bit(self, case, data, t_end, n):
+        F, dim = case
+        y0 = tuple(data.draw(st.lists(st.floats(0.0, 3.0), min_size=dim, max_size=dim)))
+        out = rk4(F, y0, t_end, n)
+        assert type(out) is tuple and all(type(v) is float for v in out)
+        assert _bits(out) == _bits(rk4_reference(F, y0, t_end, n))
+
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_F_is_called_four_times_per_substep(self, n):
+        calls = []
+        F = get_system("sirs").F
+        rk4(lambda y: calls.append(y) or F(y), DEFAULT_STARTS["sirs"], 1.0, n)
+        assert len(calls) == 4 * n
+        assert all(type(y) is tuple and len(y) == 3 for y in calls)
+
+    @pytest.mark.parametrize("values", [1, 2, 4])
+    def test_F_with_the_wrong_number_of_values_names_the_dimension(self, values):
+        F = lambda y: (0.0,) * values  # noqa: E731
+        with pytest.raises(ValueError, match="expected 3"):
+            rk4(F, (0.5, 0.5, 0.5), 1.0, 3)
+        if values < 3:  # the zipped loop stops at the shorter tuple
+            assert len(rk4_reference(F, (0.5, 0.5, 0.5), 1.0, 3)) == values
+
+    def test_tracebacks_and_warnings_name_the_library(self):
+        def F(y):
+            raise KeyError("in F")
+
+        with pytest.raises(KeyError) as info:
+            rk4(F, (0.5, 0.5), 1.0, 2)
+        frame = info.traceback[-2]
+        assert str(frame.path) == "<nsfd.schemes rk4, dim=2>"
+        assert "F((y0, y1,))" in str(frame.statement)
+        assert frame.frame.f_globals["__name__"] == "nsfd.schemes"
+        # a RuntimeWarning raised in the loop itself (numpy scalars
+        # overflowing there) is the package's for a filter on "nsfd"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            warnings.filterwarnings("error", category=RuntimeWarning, module="nsfd")
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                rk4(lambda y: (np.float64(1e308),), (np.float64(1e308),), 1.0, 1)
 
 
 class TestConfigs:
