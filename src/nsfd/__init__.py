@@ -22,19 +22,7 @@ from .model import (
     register_problem,
 )
 from .problems import get_problem, get_scheme, problem_names, scheme_bundles
-from .schemes import (
-    StepMap,
-    euler_step,
-    integrate,
-    mickens_cubic_step,
-    mickens_monod_step,
-    mickens_sine_step,
-    nsfd_step,
-    powerlaw_nsfd_step,
-    reference_solution,
-    rk2_step,
-    wood_kojouharov_step,
-)
+from .schemes import StepMap, integrate, nsfd_step_map, reference_solution
 from .splitting import (
     SplitBounds,
     compute_bounds,
@@ -61,9 +49,7 @@ __all__ = [
     "Equilibrium", "Representation", "ScalarProblem", "SchemeConfig", "Trajectory",
     "classify_equilibria", "register_problem",
     "get_problem", "get_scheme", "problem_names", "scheme_bundles",
-    "StepMap", "euler_step", "integrate", "mickens_cubic_step", "mickens_monod_step",
-    "mickens_sine_step", "nsfd_step", "powerlaw_nsfd_step", "reference_solution",
-    "rk2_step", "wood_kojouharov_step",
+    "StepMap", "integrate", "nsfd_step_map", "reference_solution",
     "SplitBounds", "compute_bounds", "find_zeros", "lemma1_split", "theorem1_split",
     "validate_representation",
     "SystemProblem", "SystemSchemeConfig", "get_system", "integrate_system",

@@ -24,7 +24,7 @@ from .analysis import (
     positivity_audit,
     rate_between,
 )
-from .denominator import check_H_conditions
+from .denominator import check_H_conditions, derived_from
 from .errata import errata_report
 from .errors import BadHorizon, NegativeState, NonPositiveStep, StepCountOverflow, ZeroStepCount
 from .problems import get_problem, get_scheme, problem_names, scheme_bundles
@@ -298,7 +298,7 @@ def cmd_audit(args) -> int:
                 print(f"[conditions] {pname}/{label}: {'pass' if conditions.passed else 'fail'}")
                 # non-derived denominators are expected to miss H3; only a
                 # derived scheme failing its own contract is an audit failure
-                if "derived" in (bundle.spec.label or "") and not conditions.passed:
+                if derived_from(bundle.spec.lambda_fn) is not None and not conditions.passed:
                     failures.append(f"{pname}/{label}: derived scheme fails conditions")
             if bundle.positive:
                 y0s = rng.uniform(0.0, 10.0, size=args.samples)

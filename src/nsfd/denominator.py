@@ -16,7 +16,7 @@ a constant rate (``constant_rate``).
 Several of the denominators printed in the source material use rates that
 satisfy the negated condition d2phi/dh2(0, y) = -(f' - 2*beta*f_minus)
 instead; those variants are kept available (they are what the errata report
-measures) but every scheme labeled "derived" uses the derived rate.
+measures), and ``derived_from`` tells a derived rate from any other.
 
 ``phi`` and the rate functions of ``lambda_from_scheme`` take a float path
 when the step size and the state are Python floats, and stay vectorised

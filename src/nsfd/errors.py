@@ -29,10 +29,6 @@ class NegativeState(NsfdError):
     """A state that must be nonnegative was negative."""
 
 
-class ParameterOutOfRange(NsfdError):
-    """Model or scheme parameter outside its admissible range."""
-
-
 class StepCountOverflow(NsfdError):
     """Integration would require an unreasonable number of steps."""
 

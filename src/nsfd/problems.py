@@ -139,7 +139,8 @@ def problem_names() -> list[str]:
 
 @dataclass(frozen=True)
 class SchemeBundle:
-    """A named scheme for one problem, with whatever structure it exposes.
+    """A named scheme for one problem, with whatever structure it exposes;
+    its name is its registry key, and ``step.label``.
 
     ``rep``/``config``/``spec`` are populated for schemes in the non-local
     weighted family (enabling the condition checks); step-only baselines
@@ -147,14 +148,12 @@ class SchemeBundle:
     the scheme is claimed to pass.
     """
 
-    label: str
     step: StepMap
     rep: Optional[Representation] = None
     config: Optional[SchemeConfig] = None
     spec: Optional[DenominatorSpec] = None
     positive: bool = False
     elementary_stable: bool = False
-    description: str = ""
 
 
 def _family_bundle(
@@ -163,18 +162,15 @@ def _family_bundle(
     rep: Representation,
     beta: float,
     spec: DenominatorSpec,
-    description: str = "",
 ) -> SchemeBundle:
     config = SchemeConfig(alpha=1.0 - beta, beta=beta, label=label)
     return SchemeBundle(
-        label=label,
-        step=nsfd_step_map(problem, rep, config, spec, label=label),
+        step=nsfd_step_map(problem, rep, config, spec),
         rep=rep,
         config=config,
         spec=spec,
         positive=True,
         elementary_stable=True,
-        description=description,
     )
 
 
@@ -183,31 +179,25 @@ def _logistic_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
     rep_quad = Representation(f_plus=lambda y: 2.0 * y + y * y, f_minus=lambda y: -2.0 * y)
     out = {
         "snsfd1": _family_bundle(
-            p, "snsfd1", rep_linear, beta=1.25, spec=derived_denominator(p, rep_linear, 1.25),
-            description="f_plus = 2y, f_minus = -y, beta = 1.25, derived denominator",
-        ),
+            p, "snsfd1", rep_linear, beta=1.25, spec=derived_denominator(p, rep_linear, 1.25)),
         "snsfd2": _family_bundle(
-            p, "snsfd2", rep_quad, beta=1.25, spec=derived_denominator(p, rep_quad, 1.25),
-            description="f_plus = 2y + y^2, f_minus = -2y, beta = 1.25, derived denominator",
-        ),
+            p, "snsfd2", rep_quad, beta=1.25, spec=derived_denominator(p, rep_quad, 1.25)),
+        # beta = 1: the derived denominator is the constant (e^{2h} - 1)/2,
+        # and the scheme reproduces the exact flow
         "snsfd3": _family_bundle(
-            p, "snsfd3", rep_linear, beta=1.0, spec=derived_denominator(p, rep_linear, 1.0),
-            description="beta = 1: constant derived denominator (e^{2h} - 1)/2, exact scheme",
-        ),
+            p, "snsfd3", rep_linear, beta=1.0, spec=derived_denominator(p, rep_linear, 1.0)),
         "snsfd3-printed": _family_bundle(
             p, "snsfd3-printed", rep_linear, beta=1.0,
             spec=constant_rate(2.0, label="(1 - e^{-2h})/2 as printed"),
-            description="beta = 1 with the printed denominator (1 - e^{-2h})/2",
         ),
+        # branching, first order
         "wood": SchemeBundle(
-            label="wood",
             step=wood_map(),
             rep=rep_linear,
             config=SchemeConfig(alpha=1.0, beta=0.0, label="wood", validate=False),
             spec=constant_rate(1.0, label="1 - e^{-h}"),
             positive=True,
             elementary_stable=True,
-            description="branching positive scheme, phi = 1 - e^{-h} (first order)",
         ),
     }
     return out
@@ -216,21 +206,11 @@ def _logistic_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
 def _cubic_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
     rep = Representation(f_plus=lambda y: y, f_minus=lambda y: -(y * y))
     return {
-        "nsfd": _family_bundle(
-            p, "nsfd", rep, beta=1.5, spec=derived_denominator(p, rep, 1.5),
-            description="f_plus = y, f_minus = -y^2, beta = 3/2; derived phi = e^h - 1",
-        ),
+        # derived phi = e^h - 1
+        "nsfd": _family_bundle(p, "nsfd", rep, beta=1.5, spec=derived_denominator(p, rep, 1.5)),
         "nsfd-printed": _family_bundle(
-            p, "nsfd-printed", rep, beta=1.5, spec=constant_rate(1.0, label="1 - e^{-h}"),
-            description="same weights with the printed phi = 1 - e^{-h}",
-        ),
-        "mickens": SchemeBundle(
-            label="mickens",
-            step=mickens_cubic_map(),
-            positive=True,
-            elementary_stable=True,
-            description="maximum-symmetry scheme, phi = (1 - e^{-2h})/2",
-        ),
+            p, "nsfd-printed", rep, beta=1.5, spec=constant_rate(1.0, label="1 - e^{-h}")),
+        "mickens": SchemeBundle(step=mickens_cubic_map(), positive=True, elementary_stable=True),
     }
 
 
@@ -241,24 +221,13 @@ def _sine_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
     )
     printed_lambda = lambda y: np.pi * np.cos(np.pi * y) - 2.0 * np.pi  # noqa: E731
     return {
-        "nsfd": _family_bundle(
-            p, "nsfd", rep, beta=1.0, spec=derived_denominator(p, rep, 1.0),
-            description="f_plus = sin(pi y) + pi y, f_minus = -pi, beta = 1; "
-                        "derived lambda(y) = -pi cos(pi y) - 2 pi",
-        ),
+        "nsfd": _family_bundle(p, "nsfd", rep, beta=1.0, spec=derived_denominator(p, rep, 1.0)),
         "nsfd-printed": _family_bundle(
             p, "nsfd-printed", rep, beta=1.0,
             spec=DenominatorSpec(lambda_fn=printed_lambda,
                                  label="lambda = pi cos(pi y) - 2 pi as printed"),
-            description="same scheme with the printed rate lambda = pi cos(pi y) - 2 pi",
         ),
-        "mickens": SchemeBundle(
-            label="mickens",
-            step=mickens_sine_map(),
-            positive=True,
-            elementary_stable=True,
-            description="one-sided scheme, phi = (1 - e^{-pi h})/pi",
-        ),
+        "mickens": SchemeBundle(step=mickens_sine_map(), positive=True, elementary_stable=True),
     }
 
 
@@ -270,39 +239,34 @@ def _monod_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
     )
     printed_rate = lambda y: (mu + 1.0) * (1.0 + 3.0 * y) / (1.0 + y)  # noqa: E731
     return {
-        "nsfd": _family_bundle(
-            p, "nsfd", rep, beta=1.0, spec=derived_denominator(p, rep, 1.0),
-            description="beta = 1; derived lambda(y) = -[(mu-1) + (mu+1)y^2]/(1+y)^2",
-        ),
+        "nsfd": _family_bundle(p, "nsfd", rep, beta=1.0, spec=derived_denominator(p, rep, 1.0)),
         "nsfd-printed": _family_bundle(
             p, "nsfd-printed", rep, beta=1.0,
             spec=DenominatorSpec(lambda_fn=printed_rate,
                                  label="R(y) = (mu+1)(1+3y)/(1+y) as printed"),
-            description="same scheme with the printed state-dependent rate R(y)",
         ),
+        # Mickens' first-order Monod scheme is this weighted update with a
+        # constant rate
         "mickens": _family_bundle(
             p, "mickens", rep, beta=1.0,
             spec=constant_rate(mu - 1.0, label="(1 - e^{-(mu-1)h})/(mu-1)"),
-            description="constant-rate scheme (first order)",
         ),
     }
 
 
 def _powerlaw_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
     a, b, m = POWERLAW_PARAMS["a"], POWERLAW_PARAMS["b"], POWERLAW_PARAMS["m"]
+    # at beta = 1 the update solves the one-sided form
+    # (y1 - y)/phi = a*y - b*(1 - m/2)*y^m - b*(m/2)*y^{m-1}*y1
     rep = Representation(
         f_plus=lambda y: a * y - b * (1.0 - m / 2.0) * np.power(y, m),
         f_minus=lambda y: -b * (m / 2.0) * np.power(y, m - 1),
     )
     return {
-        "nsfd": _family_bundle(
-            p, "nsfd", rep, beta=1.0, spec=derived_denominator(p, rep, 1.0),
-            description=f"one-sided power-law split, derived phi = (e^{{{a:g}h}} - 1)/{a:g}",
-        ),
+        "nsfd": _family_bundle(p, "nsfd", rep, beta=1.0, spec=derived_denominator(p, rep, 1.0)),
         "nsfd-printed": _family_bundle(
             p, "nsfd-printed", rep, beta=1.0,
             spec=constant_rate(a, label=f"(1 - e^{{-{a:g}h}})/{a:g} as printed"),
-            description="printed constant-rate denominator (first order)",
         ),
     }
 
@@ -323,10 +287,8 @@ def scheme_bundles(problem_name: str) -> dict[str, SchemeBundle]:
     p = get_problem(problem_name)
     if problem_name not in _BUNDLE_CACHE:
         bundles = _BUNDLE_FACTORIES[problem_name](p)
-        bundles["euler"] = SchemeBundle(label="euler", step=euler_map(p),
-                                        description="explicit Euler baseline")
-        bundles["rk2"] = SchemeBundle(label="rk2", step=rk2_map(p),
-                                      description="Heun (RK2) baseline")
+        bundles["euler"] = SchemeBundle(step=euler_map(p))
+        bundles["rk2"] = SchemeBundle(step=rk2_map(p))
         _BUNDLE_CACHE[problem_name] = bundles
     return _BUNDLE_CACHE[problem_name]
 

@@ -12,7 +12,12 @@ exactly.
 Baselines from the comparison experiments live here too: explicit Euler,
 Heun's method (the RK2 variant used throughout), the branching
 positivity-preserving logistic scheme it is measured against, and the
-first-order nonstandard schemes for the cubic, Monod and sine equations.
+first-order nonstandard schemes for the cubic and sine equations. (Monod's
+first-order scheme is the weighted update with a constant rate, built in
+``nsfd.problems`` as ``monod/mickens``.) Every scheme is stepped through
+its ``StepMap``: the named ones come from the registry
+(``get_scheme(problem, label).step``), a problem of one's own goes through
+``nsfd_step_map``.
 
 All step updates accept scalar or array states, so property audits can run
 batched. A state and step size that arrive as Python floats take a float
@@ -26,9 +31,9 @@ ufuncs do, while Python's ``**`` on floats rounds differently from
 ``np.power`` (write ``y * y`` or ``np.power(y, m)``).
 
 Each step map is bound once. ``nsfd_step_map`` returns one closure holding
-the model callables, the weights and the denominator; ``nsfd_step`` and the
-stability audit call it, so the weighted step has one float and one array
-implementation. With a rate derived from the step's own problem and
+the model callables, the weights and the denominator; every weighted
+scheme of the registry is one, so the weighted step has one float and one
+array implementation. With a rate derived from the step's own problem and
 representation, a float step evaluates f, f', f_plus and f_minus once each.
 The Wood-Kojouharov and Mickens cubic and sine maps keep their phi, which
 depends on h alone, in a one-entry memo per map (``_h_memo``): only an h
@@ -60,7 +65,6 @@ from .errors import (
     BadHorizon,
     NegativeState,
     OracleSelfCheckFailed,
-    ParameterOutOfRange,
     StepCountOverflow,
     ZeroStepCount,
 )
@@ -124,12 +128,13 @@ def nsfd_step_map(
     source = derived_from(rate)
     shared = source is not None and source[0] is problem and source[1] is rep
     rate_beta = source[2] if shared else None
+    name = label or config.label or "nsfd"
 
     def update(y_n, h):
         if isinstance(y_n, float) and isinstance(h, float):
             y, h = float(y_n), float(h)  # numpy float scalars are floats too
             if y < 0.0:
-                _check_nonnegative(y, "nsfd_step")  # raises NegativeState
+                _check_nonnegative(y, name)  # raises NegativeState
             if not 0.0 < h < math.inf:
                 check_step(h)  # raises NonPositiveStep, at an equilibrium too
             try:
@@ -141,7 +146,7 @@ def nsfd_step_map(
                 return weighted_update(y, ph, float(f_plus(y)), fm, alpha, beta)
             except (OverflowError, ZeroDivisionError):
                 pass  # numpy returns inf/nan here: rerun on the array path
-        _check_nonnegative(y_n, "nsfd_step")
+        _check_nonnegative(y_n, name)
         y = np.asarray(y_n, dtype=float)
         fy = np.asarray(f(y), dtype=float)
         ph = np.asarray(phi(spec, h, y), dtype=float)
@@ -153,47 +158,38 @@ def nsfd_step_map(
             out = np.where(fy == 0.0, y, out)
         return float(out) if np.ndim(y_n) == 0 else out
 
-    return StepMap(label=label or config.label or "nsfd", update=update)
-
-
-def nsfd_step(
-    problem: ScalarProblem,
-    rep: Representation,
-    config: SchemeConfig,
-    spec: DenominatorSpec,
-    y_n,
-    h: float,
-):
-    """One step of the positive nonstandard scheme (see ``nsfd_step_map``,
-    which binds the step once for repeated use)."""
-    return nsfd_step_map(problem, rep, config, spec).update(y_n, h)
-
-
-def euler_step(problem: ScalarProblem, y_n, h: float):
-    """Explicit Euler: y + h*f(y); h must be finite and > 0."""
-    check_step(h)
-    return _baseline_update(lambda y, h: y + h * problem.f(y), y_n, h)
+    return StepMap(label=name, update=update)
 
 
 def euler_map(problem: ScalarProblem) -> StepMap:
-    return StepMap(label="euler", update=lambda y, h: euler_step(problem, y, h))
+    """Explicit Euler: y + h*f(y); h must be finite and > 0."""
+    f = problem.f
 
+    def euler(y, h):
+        return y + h * f(y)
 
-def rk2_step(problem: ScalarProblem, y_n, h: float):
-    """Heun's method: y + (h/2)*(f(y) + f(y + h*f(y))); h must be finite
-    and > 0."""
-    check_step(h)
+    def update(y_n, h):
+        check_step(h)
+        return _baseline_update(euler, y_n, h)
 
-    def update(y, h):
-        k1 = problem.f(y)
-        k2 = problem.f(y + h * k1)
-        return y + 0.5 * h * (k1 + k2)
-
-    return _baseline_update(update, y_n, h)
+    return StepMap(label="euler", update=update)
 
 
 def rk2_map(problem: ScalarProblem) -> StepMap:
-    return StepMap(label="rk2", update=lambda y, h: rk2_step(problem, y, h))
+    """Heun's method: y + (h/2)*(f(y) + f(y + h*f(y))); h must be finite
+    and > 0."""
+    f = problem.f
+
+    def heun(y, h):
+        k1 = f(y)
+        k2 = f(y + h * k1)
+        return y + 0.5 * h * (k1 + k2)
+
+    def update(y_n, h):
+        check_step(h)
+        return _baseline_update(heun, y_n, h)
+
+    return StepMap(label="rk2", update=update)
 
 
 def _baseline_update(update: Callable, y_n, ph):
@@ -263,11 +259,6 @@ def wood_map() -> StepMap:
     return StepMap(label="wood", update=update)
 
 
-def wood_kojouharov_step(y_n, h: float):
-    """One step of ``wood_map``'s scheme; h must be finite and > 0."""
-    return wood_map().update(y_n, h)
-
-
 def mickens_cubic_map() -> StepMap:
     """First-order nonstandard scheme for y' = y(1 - y^2) with maximum
     symmetry in the cubic term; phi = (1 - e^{-2h})/2."""
@@ -279,60 +270,12 @@ def mickens_cubic_map() -> StepMap:
     return StepMap(label="mickens", update=lambda y_n, h: _baseline_update(update, y_n, phi_at(h)))
 
 
-def mickens_cubic_step(y_n, h: float):
-    """One step of ``mickens_cubic_map``'s scheme."""
-    return mickens_cubic_map().update(y_n, h)
-
-
-def mickens_monod_step(y_n, h: float, mu: float):
-    """First-order nonstandard scheme for the modified Monod equation;
-    phi = (1 - e^{-Rh})/R with R = mu - 1. Requires mu > 1."""
-    if mu <= 1.0:
-        raise ParameterOutOfRange(f"Monod parameter must exceed 1, got {mu}")
-    check_step(h)
-    R = mu - 1.0
-
-    def update(y, ph):
-        ratio = y / (1.0 + y)
-        return (y + ph * (mu - 1.0) * ratio) / (1.0 + ph * (mu + 1.0) * ratio)
-
-    return _baseline_update(update, y_n, h * phim(R * h))
-
-
 def mickens_sine_map() -> StepMap:
     """First-order nonstandard scheme for y' = sin(pi*y);
     phi = (1 - e^{-pi*h})/pi < 1/pi keeps iterates inside [0, inf)."""
     phi_at = _h_memo(lambda h: h * phim(np.pi * h))
     update = lambda y, ph: y + ph * np.sin(np.pi * y)  # noqa: E731
     return StepMap(label="mickens", update=lambda y_n, h: _baseline_update(update, y_n, phi_at(h)))
-
-
-def mickens_sine_step(y_n, h: float):
-    """One step of ``mickens_sine_map``'s scheme."""
-    return mickens_sine_map().update(y_n, h)
-
-
-def powerlaw_nsfd_step(a: float, b: float, m: int, y_n, h: float):
-    """Positive scheme for y' = a*y - b*y^m solved from the one-sided form
-
-        (y1 - y)/phi = a*y - b*(1 - m/2)*y^m - b*(m/2)*y^{m-1}*y1
-
-    with phi = (1 - e^{-ah})/a as printed in the source scheme. Note this
-    constant-rate phi satisfies the negated order-2 condition; the derived
-    variant uses rate -a instead (see the errata report).
-    """
-    if a <= 0.0 or b <= 0.0:
-        raise ParameterOutOfRange(f"need a, b > 0, got a = {a}, b = {b}")
-    if m < 2 or int(m) != m:
-        raise ParameterOutOfRange(f"need integer m >= 2, got {m}")
-    _check_nonnegative(y_n, "powerlaw scheme")
-    check_step(h)
-
-    def update(y, ph):
-        num = y + ph * (a * y - b * (1.0 - m / 2.0) * np.power(y, m))
-        return num / (1.0 + ph * b * (m / 2.0) * np.power(y, m - 1))
-
-    return _baseline_update(update, y_n, h * phim(a * h))
 
 
 def integrate(

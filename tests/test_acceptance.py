@@ -153,7 +153,7 @@ def test_criterion_4_positivity_property_suite():
         report = positivity_audit(bundle.step, y0s, hs, n_steps=n_steps, paired=True)
         if not report.passed:
             ok = False
-            details.append(f"{pname}/{bundle.label}: {report.negative_count} negative")
+            details.append(f"{pname}/{bundle.step.label}: {report.negative_count} negative")
     for sysname in ("lv", "sirs"):
         system = get_system(sysname)
         starts = rng.uniform(0.0, 10.0, size=(n_pairs, system.dim))

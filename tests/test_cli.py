@@ -2,12 +2,16 @@ import csv
 import hashlib
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nsfd.cli import main
+from nsfd.denominator import DenominatorSpec, derived_denominator
 from nsfd.model import SchemeConfig
 from nsfd.problems import SchemeBundle, get_scheme
+from nsfd.schemes import nsfd_step_map
 
 
 def _read_csv(path):
@@ -89,6 +93,137 @@ class TestRun:
         captured = capsys.readouterr()
         assert "final y = -inf" in captured.out
         assert "RuntimeWarning" not in captured.err
+
+
+#: sha256 of ``run`` CSVs for every registry scheme, at a small step
+#: (``--y0 0.5 --h 0.1 --t-end 1``) and a large one (``--y0 3 --h 1.25
+#: --t-end 50``)
+RUN_SHA256 = {
+    ("cubic", "euler", ("0.5", "0.1", "1")):
+        "b25484efee00cc20be4957be075e99586ac532bb626710362b44a78e0dc0c123",
+    ("cubic", "mickens", ("0.5", "0.1", "1")):
+        "9299f57aa6d36eb88305d13cd3a35a49f4e3ac788b119200d7da928b54ba4739",
+    ("cubic", "nsfd", ("0.5", "0.1", "1")):
+        "806b92793a76168e718e4771962e10eb6f56e1fc207cd0e1acdab8b87eacf9d6",
+    ("cubic", "nsfd-printed", ("0.5", "0.1", "1")):
+        "acdc48cc6902c6948b5a18df482288fe229f5f37d028d62697ea1ce9ee986882",
+    ("cubic", "rk2", ("0.5", "0.1", "1")):
+        "6b512f578ff826a56be323123eae108bb2821ad9f80f12f8fad790435ea7f30b",
+    ("logistic", "euler", ("0.5", "0.1", "1")):
+        "6f572f7bb64ac2c93d0df54f76b742cf53ed84005651315d49cdabf9b731e237",
+    ("logistic", "rk2", ("0.5", "0.1", "1")):
+        "3923f9daf1124712ddbeb2a305e8d559b7c6d0e9186c86b3a5136057f55e8de6",
+    ("logistic", "snsfd1", ("0.5", "0.1", "1")):
+        "3b63bf60805c41d76a2e08c737f0405b458d08a8c15c8e9cd43817aa8cb55cc4",
+    ("logistic", "snsfd2", ("0.5", "0.1", "1")):
+        "a2d59d09833f1bc1d5ca2438605104a51e61f611bfbab618730853c6483dbe81",
+    ("logistic", "snsfd3", ("0.5", "0.1", "1")):
+        "816071856085ba5c49cf6488bd0fbe74f8a0570171fa2e12b5b729dd27765071",
+    ("logistic", "snsfd3-printed", ("0.5", "0.1", "1")):
+        "f8e65733fddaf4199b9d748094fe2fd4e8118eb0e621f4350111c9e9337ef900",
+    ("logistic", "wood", ("0.5", "0.1", "1")):
+        "27b0423c79fb6834c23ae0872bd873146ca83761bf1ca66c70a0f97396593744",
+    ("monod", "euler", ("0.5", "0.1", "1")):
+        "23552ac928b2ca0c32ffd9d6dbed8cb124e76c89eb1dfad670a274076e339779",
+    ("monod", "mickens", ("0.5", "0.1", "1")):
+        "608dd83d314f81b7ccb36f92b1ce76e892caf7ef7bb0e6a67fee752cd12eb0c6",
+    ("monod", "nsfd", ("0.5", "0.1", "1")):
+        "6e7f84e6a0599eb0213ab7c58168db396173139db153d8794e8d70009a24c0c0",
+    ("monod", "nsfd-printed", ("0.5", "0.1", "1")):
+        "6edf8be22e9b952359dd3d3d0091f7ebd98d7a185ef06142501575ebe053c871",
+    ("monod", "rk2", ("0.5", "0.1", "1")):
+        "af47d68f6e0c07208041581d28122c1193ff7bbe10781a301260940f14ee72a3",
+    ("powerlaw", "euler", ("0.5", "0.1", "1")):
+        "af678ad10ea9e1dd37227b703c8c2b5d157d6702ec523c91fd68bcceb1d3f2e6",
+    ("powerlaw", "nsfd", ("0.5", "0.1", "1")):
+        "763b3d3729666171bce1ca04401eea37160a1d223d684e4547fd86e5f6267aac",
+    ("powerlaw", "nsfd-printed", ("0.5", "0.1", "1")):
+        "d0379c0bf8cf2f61ac6e062de8dd6eaef6f59f6afd761c68ef8a1cadc2a12974",
+    ("powerlaw", "rk2", ("0.5", "0.1", "1")):
+        "97c368d427598c1a78293a64cbf5336b89808442ce3f9fb2c944e1a3a762e00b",
+    ("sine", "euler", ("0.5", "0.1", "1")):
+        "dd17d64ae3c0b47bb1cc9f5ff731008cca70282311af722a44feb3b43c281976",
+    ("sine", "mickens", ("0.5", "0.1", "1")):
+        "a17d19811ddfa75404789ed5590cbecd9c9b89387df3c851e71c3cd1303f91b9",
+    ("sine", "nsfd", ("0.5", "0.1", "1")):
+        "097a9c6cdda81ee10764958d635a70235e8b3f8b1fdae5d4abfa9b7d58258a2e",
+    ("sine", "nsfd-printed", ("0.5", "0.1", "1")):
+        "0704b3289c1f293271957b8d31c7408efd2961e3463cebcb2540b21c0939e1d0",
+    ("sine", "rk2", ("0.5", "0.1", "1")):
+        "1cf83829391ae510717472800e79070ccdb796d6eecdfaeb4e3b2f0c2848d8e2",
+    ("cubic", "euler", ("3", "1.25", "50")):
+        "1b964918dea1ccbc898d9f3f21371f1e5d32a40d6c3b56fcdc7b37a9020a05ec",
+    ("cubic", "mickens", ("3", "1.25", "50")):
+        "25d0e54d7d1dcce214ec47c8506108252115a34f975a1b5b224472635b33b08c",
+    ("cubic", "nsfd", ("3", "1.25", "50")):
+        "dccd203e88de4b0b057b5e3d99713ec51f135118e40bb6761a36e9b9172d562a",
+    ("cubic", "nsfd-printed", ("3", "1.25", "50")):
+        "ece5f89c0251d3591b98e20b22f81f933b487684365d02e57f6c018437f0d070",
+    ("cubic", "rk2", ("3", "1.25", "50")):
+        "508bbacf63b9d405b087a5fba68c8f64a198aa2159b5eb73e9de72d24ed4f579",
+    ("logistic", "euler", ("3", "1.25", "50")):
+        "c4570a19105db34a60a73df376a7ff3fb2dbd59f91da4fb1f2bbb916240b74f6",
+    ("logistic", "rk2", ("3", "1.25", "50")):
+        "7adb9d1acc39286dcfb402f76e86c1134b0187a8ffced0493be88ef10fcc1ce9",
+    ("logistic", "snsfd1", ("3", "1.25", "50")):
+        "5a7a16f7f02241fbb55e0d6583bc4ba4a8c1bb5bda18b73c1816c88b93613ed8",
+    ("logistic", "snsfd2", ("3", "1.25", "50")):
+        "17d9c6c566c800be0bd38e7fef4fdc63f0170becf71ce7be0825114f59db1e37",
+    ("logistic", "snsfd3", ("3", "1.25", "50")):
+        "1cf7b0a08df93dbea1f444a31498445d143f09a338221029197d532886694f89",
+    ("logistic", "snsfd3-printed", ("3", "1.25", "50")):
+        "d26d4acd6d4154f3b30ceff654afbfb0d754a9a3f21add1e457517c0378ee8f7",
+    ("logistic", "wood", ("3", "1.25", "50")):
+        "f740124b36b593eb23067025ce04468bd8ce13f8383b2dc41fcc3422a840ff4f",
+    ("monod", "euler", ("3", "1.25", "50")):
+        "9fc9fb6a54f2107eac751324bf2f24b81bdfa4df58aeea889299a4314fa9cd2b",
+    ("monod", "mickens", ("3", "1.25", "50")):
+        "133dd4a4c19c4c26090009d8d9242b853d4bdcaccfe61ad0e94d8d26e0acc164",
+    ("monod", "nsfd", ("3", "1.25", "50")):
+        "eae2647b082b39582d0ac98539e2e55d3346c0bfe87dd62120d740966ba03ecd",
+    ("monod", "nsfd-printed", ("3", "1.25", "50")):
+        "f3b75fbd4562d113cdc2c72299320013ed9b83e52317a0d7e8f8736fd082b93d",
+    ("monod", "rk2", ("3", "1.25", "50")):
+        "503f7cae6b096318dd5a34d47e4224fdbf8bdc084842c6b8972d52c267fe3c98",
+    ("powerlaw", "euler", ("3", "1.25", "50")):
+        "653b335e64b643c270feeacf1d7b57a9fbf52bd56f4f23f360960ccfdac3e58e",
+    ("powerlaw", "nsfd", ("3", "1.25", "50")):
+        "f81fea9152e5b7b8b44062ce9ebb70640f6c13eeeefa71e8e29d99af0e593fe7",
+    ("powerlaw", "nsfd-printed", ("3", "1.25", "50")):
+        "0edb05eb35d54c2995402be09f4b2d63746957c66115ab355da689fb0881d2b1",
+    ("powerlaw", "rk2", ("3", "1.25", "50")):
+        "45c3cae3963f58ccdcfc1635b2982a55176ddaa65b61cad4762334f3fab86ed7",
+    ("sine", "euler", ("3", "1.25", "50")):
+        "760bc8dce619a1d13e1cbd13e5c0b4df3b09a1b4efbcbe056497e62193cdd42b",
+    ("sine", "mickens", ("3", "1.25", "50")):
+        "8c7fe569e3d3360adbe4ceb3f3761881306f5a597ded41318b750d9bc0e48285",
+    ("sine", "nsfd", ("3", "1.25", "50")):
+        "97cfed4eccf65678c1b265a72550b8bf58db00cdb5d9bc7b2e874c4eec02ad67",
+    ("sine", "nsfd-printed", ("3", "1.25", "50")):
+        "8c7fe569e3d3360adbe4ceb3f3761881306f5a597ded41318b750d9bc0e48285",
+    ("sine", "rk2", ("3", "1.25", "50")):
+        "ad8f11284cb3bc1b2aa69bbff74d7f816baf85d8de996998acc24511ba486f7d",
+}
+
+#: sha256 of the ``figures`` CSVs
+FIGURES_SHA256 = {
+    "fig1.csv": "7d85a53442241a0292aeeedffad8e14211ce1b6a27555ed79ade7afce6910cce",
+    "fig2.csv": "e5d9c2889cb50ba11a921223b2502d7c3f165bf2e3f035d360dffcb43b295a3d",
+}
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize(("problem", "scheme", "args"), sorted(RUN_SHA256))
+    def test_run_csv(self, tmp_path, problem, scheme, args):
+        y0, h, t_end = args
+        out = tmp_path / "run.csv"
+        assert main(["run", "--problem", problem, "--scheme", scheme, "--y0", y0,
+                     "--h", h, "--t-end", t_end, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == RUN_SHA256[(problem, scheme, args)]
+
+    def test_figures_csvs(self, tmp_path):
+        assert main(["figures", "--out-dir", str(tmp_path)]) == 0
+        for name, digest in FIGURES_SHA256.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 #: sha256 of ``run-sys --h 0.1 --t-end 10`` CSVs, pinned from the
@@ -293,18 +428,40 @@ class TestAudit:
 
         b = get_scheme("logistic", "snsfd1")
         broken_cfg = SchemeConfig(alpha=1.1, beta=-0.1, label="broken", validate=False)
-        from nsfd.schemes import nsfd_step
-
-        def broken_update(y, h):
-            return nsfd_step(cli.get_problem("logistic"), b.rep, broken_cfg, b.spec, y, h)
+        broken_update = nsfd_step_map(cli.get_problem("logistic"), b.rep, broken_cfg, b.spec).update
 
         broken = SchemeBundle(
-            label="broken", step=type(b.step)(label="broken", update=broken_update),
+            step=type(b.step)(label="broken", update=broken_update),
             rep=b.rep, config=broken_cfg, spec=b.spec, positive=True, elementary_stable=False,
         )
         monkeypatch.setattr(cli, "problem_names", lambda: ["logistic"])
         monkeypatch.setattr(cli, "scheme_bundles", lambda name: {"broken": broken})
         assert main(["audit", "--samples", "8", "--steps", "50", "--scan", "2000"]) == 1
+
+    def test_printed_rate_is_not_derived_by_its_label(self, monkeypatch, capsys):
+        # a printed rate misses H3 by design, whatever its label says
+        import nsfd.cli as cli
+
+        b = get_scheme("logistic", "snsfd3-printed")
+        relabelled = replace(b, spec=replace(b.spec, label="underived rate"),
+                             positive=False, elementary_stable=False)
+        monkeypatch.setattr(cli, "problem_names", lambda: ["logistic"])
+        monkeypatch.setattr(cli, "scheme_bundles", lambda name: {"printed": relabelled})
+        assert main(["audit", "--samples", "8", "--steps", "50", "--scan", "2000"]) == 0
+        assert "[conditions] logistic/printed: fail" in capsys.readouterr().out
+
+    def test_derived_rate_is_derived_whatever_its_label(self, monkeypatch, capsys):
+        # a rate derived at beta = 1.25 under weights with beta = 1 fails H3
+        import nsfd.cli as cli
+
+        p, rep = cli.get_problem("logistic"), get_scheme("logistic", "snsfd1").rep
+        spec = DenominatorSpec(lambda_fn=derived_denominator(p, rep, 1.25).lambda_fn, label="mine")
+        cfg = SchemeConfig(alpha=0.0, beta=1.0, label="mine")
+        mine = SchemeBundle(step=nsfd_step_map(p, rep, cfg, spec), rep=rep, config=cfg, spec=spec)
+        monkeypatch.setattr(cli, "problem_names", lambda: ["logistic"])
+        monkeypatch.setattr(cli, "scheme_bundles", lambda name: {"mine": mine})
+        assert main(["audit", "--samples", "8", "--steps", "50", "--scan", "2000"]) == 1
+        assert "logistic/mine: derived scheme fails conditions" in capsys.readouterr().err
 
 
     def test_empty_selection_is_noop_success(self, monkeypatch, capsys):
@@ -381,7 +538,7 @@ def test_positivity_failure_forces_nonzero_exit(monkeypatch):
     import nsfd.cli as cli
 
     euler = get_scheme("logistic", "euler")
-    lying = SchemeBundle(label="lying-euler", step=euler.step, positive=True)
+    lying = SchemeBundle(step=euler.step, positive=True)
     monkeypatch.setattr(cli, "problem_names", lambda: ["logistic"])
     monkeypatch.setattr(cli, "scheme_bundles", lambda name: {"lying-euler": lying})
     assert main(["audit", "--samples", "16", "--steps", "50", "--scan", "2000"]) == 1

@@ -16,20 +16,16 @@ from hypothesis import strategies as st
 from nsfd.denominator import ARG_FLOOR, SERIES_CUTOFF, DenominatorSpec, derived_from, phi
 from nsfd.errors import NonPositiveStep, NsfdError
 from nsfd.problems import get_problem, problem_names, scheme_bundles
-from nsfd.schemes import mickens_monod_step, nsfd_step_map, powerlaw_nsfd_step
+from nsfd.schemes import nsfd_step_map
 
 #: every registry scheme with a float path (the weighted family bundles,
-#: wood and the Mickens schemes), plus the standalone Monod and power-law steps
+#: wood and the Mickens schemes)
 CASES = {
     f"{pname}/{label}": bundle.step.update
     for pname in problem_names()
     for label, bundle in scheme_bundles(pname).items()
     if label not in ("euler", "rk2")
 }
-CASES["mickens_monod_step"] = lambda y, h: mickens_monod_step(y, h, mu=2.0)
-for _m in (2, 3, 4):
-    CASES[f"powerlaw_nsfd_step(m={_m})"] = (
-        lambda y, h, m=_m: powerlaw_nsfd_step(1.0, 1.0, m, y, h))
 
 #: the Euler and RK2 baselines, which make no claim on the state but reject
 #: a bad step size like every other step. Power-law f computes y**m, which on
@@ -86,7 +82,7 @@ def test_examples_reach_kernel_branches():
 @settings(max_examples=400, deadline=None)
 @given(name=st.sampled_from(sorted(BIT_IDENTICAL)), y=states, h=steps)
 @example(name="powerlaw/nsfd", y=1e100, h=0.1)  # f computes y**4, which overflows floats
-@example(name="mickens_monod_step", y=-1.0, h=0.1)  # y/(1+y) divides by zero
+@example(name="monod/euler", y=-1.0, h=0.1)  # f divides by 1 + y = 0
 @example(name="logistic/wood", y=1e200, h=1.0)
 @example(name="logistic/snsfd1", y=SERIES_POINT[0], h=SERIES_POINT[1])
 @example(name="logistic/snsfd1", y=FLOOR_POINT[0], h=FLOOR_POINT[1])

@@ -9,34 +9,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsfd.denominator import DenominatorSpec, derived_denominator, derived_from
+from nsfd.denominator import DenominatorSpec, constant_rate, derived_denominator, derived_from
 from nsfd.errors import (
     BadHorizon,
     NegativeState,
     NonPositiveStep,
     OracleSelfCheckFailed,
-    ParameterOutOfRange,
     StepCountOverflow,
     ZeroStepCount,
 )
 from nsfd.model import Representation, ScalarProblem, SchemeConfig, register_problem
-from nsfd.problems import _monod, get_problem, get_scheme, problem_names, scheme_bundles
+from nsfd.problems import _monod, _powerlaw, get_problem, get_scheme, problem_names, scheme_bundles
 from nsfd.schemes import (
     FOLD_BLOCK_FLOATS,
-    euler_step,
+    euler_map,
     integrate,
     mickens_cubic_map,
-    mickens_cubic_step,
-    mickens_monod_step,
     mickens_sine_map,
-    mickens_sine_step,
-    nsfd_step,
     nsfd_step_map,
-    powerlaw_nsfd_step,
     reference_solution,
     reference_value,
-    rk2_step,
-    wood_kojouharov_step,
+    rk2_map,
     wood_map,
 )
 from nsfd.systems import get_system, plain_config, second_order_config, system_step_map
@@ -59,9 +52,7 @@ class TestNsfdStep:
     def setup_method(self):
         self.p = get_problem("logistic")
         self.b = get_scheme("logistic", "snsfd1")
-
-    def step(self, y, h):
-        return nsfd_step(self.p, self.b.rep, self.b.config, self.b.spec, y, h)
+        self.step = nsfd_step_map(self.p, self.b.rep, self.b.config, self.b.spec).update
 
     @pytest.mark.parametrize("h", [0.01, 0.1, 1.25, 10.0, 100.0])
     def test_equilibria_are_exact_fixed_points(self, h):
@@ -103,9 +94,9 @@ class TestNsfdStep:
         rep = Representation(f_plus=lambda y: np.asarray(y, float),
                              f_minus=lambda y: np.zeros_like(np.asarray(y, float)))
         cfg = SchemeConfig(alpha=0.0, beta=1.0, label="growth")
-        spec = derived_denominator(p, rep, 1.0)
+        step = nsfd_step_map(p, rep, cfg, derived_denominator(p, rep, 1.0)).update
         for y, h in [(0.5, 0.3), (2.0, 1.0)]:
-            assert nsfd_step(p, rep, cfg, spec, y, h) == pytest.approx(y * np.exp(h), rel=1e-14)
+            assert step(y, h) == pytest.approx(y * np.exp(h), rel=1e-14)
 
     def test_update_is_deterministic(self):
         a = self.step(1.234, 0.77)
@@ -182,17 +173,17 @@ def test_other_rates_go_through_lambda_fn():
 
 class TestBaselines:
     def test_euler_value(self):
-        p = get_problem("logistic")
-        assert euler_step(p, 0.5, 0.1) == pytest.approx(0.575, rel=1e-15)
-        assert euler_step(p, 2.0, 0.4) == 2.0
-        assert euler_step(p, 0.5, 1.25) == pytest.approx(1.4375, rel=1e-15)
+        euler = euler_map(get_problem("logistic")).update
+        assert euler(0.5, 0.1) == pytest.approx(0.575, rel=1e-15)
+        assert euler(2.0, 0.4) == 2.0
+        assert euler(0.5, 1.25) == pytest.approx(1.4375, rel=1e-15)
 
     def test_euler_oscillates_at_large_step(self):
-        p = get_problem("logistic")
+        euler = euler_map(get_problem("logistic")).update
         y = 0.5
         tail = []
         for k in range(60):
-            y = euler_step(p, y, 1.25)
+            y = euler(y, 1.25)
             if k >= 40:
                 tail.append(y - 2.0)
         signs = np.sign(tail)
@@ -205,66 +196,69 @@ class TestBaselines:
         k1 = f(y)
         expected = y + h / 2 * (k1 + f(y + h * k1))
         assert expected == Fraction(18511, 32000)
-        p = get_problem("logistic")
-        assert rk2_step(p, 0.5, 0.1) == pytest.approx(float(expected), rel=1e-15)
+        rk2 = rk2_map(get_problem("logistic")).update
+        assert rk2(0.5, 0.1) == pytest.approx(float(expected), rel=1e-15)
 
     def test_rk2_fixed_at_equilibrium(self):
-        p = get_problem("logistic")
-        assert rk2_step(p, 2.0, 0.7) == 2.0
+        assert rk2_map(get_problem("logistic")).update(2.0, 0.7) == 2.0
 
     def test_rk2_converges_to_spurious_point_at_large_step(self):
         p = get_problem("logistic")
+        rk2 = rk2_map(p).update
         y = 0.5
         for _ in range(400):
-            y = rk2_step(p, y, 1.25)
+            y = rk2(y, 1.25)
         assert abs(y - 2.0) > 0.5  # not the true equilibrium
-        assert abs(rk2_step(p, y, 1.25) - y) < 1e-12  # but fixed for the map
+        assert abs(rk2(y, 1.25) - y) < 1e-12  # but fixed for the map
         assert abs(float(p.f(y))) > 0.5  # and not a root of f
         assert y == pytest.approx(1.2, abs=1e-9)
 
     def test_wood_first_branch(self):
         expected = float(mp.mpf(0.5) + (1 - mp.e**mp.mpf(-0.1)) * mp.mpf(0.75))
         assert expected == pytest.approx(0.5713719364730303, rel=1e-12)
-        assert wood_kojouharov_step(0.5, 0.1) == pytest.approx(expected, rel=1e-14)
+        assert wood_map().update(0.5, 0.1) == pytest.approx(expected, rel=1e-14)
 
     def test_wood_second_branch(self):
         # y = 3 puts f(y) = -3 < 0; oracle evaluated in extended precision
         ph = 1 - mp.e**mp.mpf(-0.1)
         expected = float(9 / (3 - ph * (-3)))
         assert expected == pytest.approx(2.739319302363185, rel=1e-12)
-        assert wood_kojouharov_step(3.0, 0.1) == pytest.approx(expected, rel=1e-14)
+        assert wood_map().update(3.0, 0.1) == pytest.approx(expected, rel=1e-14)
 
     def test_wood_fixed_point(self):
-        assert wood_kojouharov_step(2.0, 0.6) == 2.0
+        assert wood_map().update(2.0, 0.6) == 2.0
 
 
 class TestMickensSteps:
     @pytest.mark.parametrize("h", [0.1, 1.0, 25.0])
     def test_cubic_fixed_point(self, h):
-        assert mickens_cubic_step(1.0, h) == pytest.approx(1.0, rel=1e-15)
+        assert mickens_cubic_map().update(1.0, h) == pytest.approx(1.0, rel=1e-15)
 
     @pytest.mark.parametrize("h", [0.1, 1.0, 25.0])
     def test_sine_fixed_point(self, h):
-        assert mickens_sine_step(1.0, h) == pytest.approx(1.0, abs=1e-15)
+        assert mickens_sine_map().update(1.0, h) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("h", [0.1, 1.0, 25.0])
     def test_monod_fixed_point(self, h):
         # equilibrium (mu - 1)/(mu + 1) = 1/3 at mu = 2
-        assert mickens_monod_step(1.0 / 3.0, h, mu=2.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
-
-    def test_monod_parameter_range(self):
-        with pytest.raises(ParameterOutOfRange):
-            mickens_monod_step(0.5, 0.1, mu=1.0)
+        step = get_scheme("monod", "mickens").step
+        assert step.update(1.0 / 3.0, h) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     def test_monod_family_form_matches_display(self):
         # the registry builds the Monod scheme through the weighted family;
-        # it must agree with the verbatim display update
-        p = get_problem("monod")
-        b = get_scheme("monod", "mickens")
+        # it must agree with the verbatim display update, phi = (1 - e^{-Rh})/R
+        # with R = mu - 1
+        mu = 2.0
+
+        def display(y, h):
+            ph = -math.expm1(-(mu - 1.0) * h) / (mu - 1.0)
+            ratio = y / (1.0 + y)
+            return (y + ph * (mu - 1.0) * ratio) / (1.0 + ph * (mu + 1.0) * ratio)
+
+        step = get_scheme("monod", "mickens").step
         for y in (0.1, 1.0 / 3.0, 2.0, 7.5):
             for h in (0.05, 0.8, 12.0):
-                family = nsfd_step(p, b.rep, b.config, b.spec, y, h)
-                assert family == pytest.approx(mickens_monod_step(y, h, mu=2.0), rel=1e-13)
+                assert step.update(y, h) == pytest.approx(display(y, h), rel=1e-13)
 
 
 #: the steps whose float path takes phi from a one-entry memo of h
@@ -298,47 +292,59 @@ def test_memo_never_keeps_a_bad_step(name):
             assert _bits(step.update(0.5, h)) == _bits(make().update(np.array([0.5]), h)[0])
 
 
+def powerlaw_family_map(a: float, b: float, m: int):
+    """The power-law scheme for y' = a*y - b*y^m: the weighted update at
+    beta = 1 with the one-sided splitting, which solves
+
+        (y1 - y)/phi = a*y - b*(1 - m/2)*y^m - b*(m/2)*y^{m-1}*y1,
+
+    and the printed constant rate a, phi = (1 - e^{-ah})/a."""
+    rep = Representation(
+        f_plus=lambda y: a * y - b * (1.0 - m / 2.0) * np.power(y, m),
+        f_minus=lambda y: -b * (m / 2.0) * np.power(y, m - 1),
+    )
+    return nsfd_step_map(_powerlaw(a, b, m), rep, SchemeConfig(alpha=0.0, beta=1.0),
+                         constant_rate(a))
+
+
 class TestPowerlaw:
     def test_spec_formula(self):
         a, b, m = 1.0, 1.0, 4
         y, h = 0.7, 0.3
         ph = float((1 - mp.e**(-mp.mpf(a) * mp.mpf(h))) / a)
         expected = (y + ph * (a * y - b * (1 - m / 2) * y**m)) / (1 + ph * b * (m / 2) * y ** (m - 1))
-        assert powerlaw_nsfd_step(a, b, m, y, h) == pytest.approx(expected, rel=1e-13)
+        step = get_scheme("powerlaw", "nsfd-printed").step
+        assert step.update(y, h) == pytest.approx(expected, rel=1e-13)
 
     def test_m2_reduces_to_logistic_scheme(self):
         # a=2, b=1, m=2 is the logistic equation with the printed beta = 1 phi
-        p = get_problem("logistic")
+        mine = powerlaw_family_map(2.0, 1.0, 2)
         bundle = get_scheme("logistic", "snsfd3-printed")
         for y in (0.0, 0.5, 2.0, 5.0):
             for h in (0.1, 1.0, 10.0):
-                mine = powerlaw_nsfd_step(2.0, 1.0, 2, y, h)
-                family = nsfd_step(p, bundle.rep, bundle.config, bundle.spec, y, h)
-                assert mine == pytest.approx(family, rel=1e-13)
+                assert mine.update(y, h) == pytest.approx(bundle.step.update(y, h), rel=1e-13)
 
     @pytest.mark.parametrize("a,b,m", [(1.0, 1.0, 4), (2.0, 0.5, 3), (0.7, 2.0, 2)])
     def test_equilibrium_fixed(self, a, b, m):
         y_star = (a / b) ** (1.0 / (m - 1))
+        step = powerlaw_family_map(a, b, m)
         for h in (0.1, 2.0, 50.0):
-            assert powerlaw_nsfd_step(a, b, m, y_star, h) == pytest.approx(y_star, rel=1e-12)
+            assert step.update(y_star, h) == pytest.approx(y_star, rel=1e-12)
 
     def test_m3_matches_corrected_cubic_display(self):
         # solving the one-sided form for m=3, a=b=1 gives
         # ((2 + 2*phi)y + phi*y^3)/(2 + 3*phi*y^2); the printed display's
         # (2 + phi) numerator factor does not even fix y* = 1
+        step = powerlaw_family_map(1.0, 1.0, 3)
         for y in (0.2, 1.0, 1.7):
             for h in (0.1, 1.0):
                 ph = -np.expm1(-h)
                 corrected = ((2 + 2 * ph) * y + ph * y**3) / (2 + 3 * ph * y * y)
-                assert powerlaw_nsfd_step(1.0, 1.0, 3, y, h) == pytest.approx(corrected, rel=1e-13)
+                assert step.update(y, h) == pytest.approx(corrected, rel=1e-13)
 
-    def test_parameter_validation(self):
-        with pytest.raises(ParameterOutOfRange):
-            powerlaw_nsfd_step(-1.0, 1.0, 2, 0.5, 0.1)
-        with pytest.raises(ParameterOutOfRange):
-            powerlaw_nsfd_step(1.0, 1.0, 1, 0.5, 0.1)
+    def test_negative_state_rejected(self):
         with pytest.raises(NegativeState):
-            powerlaw_nsfd_step(1.0, 1.0, 2, -0.5, 0.1)
+            get_scheme("powerlaw", "nsfd-printed").step.update(-0.5, 0.1)
 
 
 class TestIntegrate:
@@ -573,3 +579,12 @@ def test_lane_depends_only_on_its_state_and_step(name):
         alone = np.concatenate([run(y0[i:i + 1], h[i:i + 1]) for i in range(LANES)])
     assert np.array_equal(permuted.view(np.int64), batch[perm].view(np.int64))
     assert np.array_equal(alone.view(np.int64), batch.view(np.int64))
+
+
+def test_star_import_binds_every_public_name():
+    import nsfd
+
+    scope: dict = {}
+    exec("from nsfd import *", scope)
+    assert set(nsfd.__all__) <= scope.keys()
+    assert scope["nsfd_step_map"] is nsfd_step_map
