@@ -18,10 +18,10 @@ satisfy the negated condition d2phi/dh2(0, y) = -(f' - 2*beta*f_minus)
 instead; those variants are kept available (they are what the errata report
 measures), and ``derived_from`` tells a derived rate from any other.
 
-``phi`` and the rate functions of ``lambda_from_scheme`` take a float path
-when the step size and the state are Python floats, and stay vectorised
-otherwise; both paths evaluate the same expressions, so they agree bit for
-bit.
+The rate functions of ``lambda_from_scheme`` take a bit-identical float
+path for a Python-float state. ``phi`` runs vectorised only: it serves the
+(H1)-(H3) checks and the stability audit, while every step forms
+h * phim(h * lam) from the rate it has evaluated itself.
 
 A derived rate records what it was derived from: ``lambda_from_scheme``
 returns a partial holding ``(problem, rep, beta)``, and ``derived_from``
@@ -29,7 +29,7 @@ reads them back. The expression -f' + 2*beta*f_minus is written once, in
 ``derived_rate``, which takes the values of f' and f_minus. The weighted
 step (``schemes.nsfd_step_map``) calls it with its own f_minus value when
 the rate was derived from the step's own problem and representation, so a
-float step evaluates f_minus once for the rate and the update together.
+step evaluates f_minus once for the rate and the update together.
 """
 
 from __future__ import annotations
@@ -174,13 +174,8 @@ def phi(spec: DenominatorSpec, h, y):
     property audits where every trajectory carries its own step size). The
     result broadcasts against ``y``: a constant rate with a scalar ``h``
     gives one value for every ``y``. Raises NonPositiveStep unless every h
-    is finite and > 0. When ``h`` and ``y`` are Python floats the result is
-    a Python float, bit-identical to the array result at that state.
+    is finite and > 0. No step calls it.
     """
-    if isinstance(h, float) and isinstance(y, float):
-        if not 0.0 < h < math.inf:
-            check_step(h)  # raises NonPositiveStep
-        return h * phim(h * float(spec.lambda_fn(y)))
     check_step(h)
     return h * phim(h * _as_float_array(spec.lambda_fn(y)))
 

@@ -4,10 +4,12 @@ The positive scheme advances by
 
     y1 = (y + phi*f_plus(y) + phi*alpha*y*f_minus(y)) / (1 - phi*beta*f_minus(y))
 
-with phi = phi(spec, h, y). Every term in the numerator is nonnegative and
-the denominator is at least 1, so iterates from y >= 0 stay nonnegative in
-floating point, not just in exact arithmetic. Points with f(y) = 0 are fixed
-exactly.
+with phi = h * phim(h * lam(y)). Every term in the numerator is nonnegative
+and the denominator is at least 1, so iterates from y >= 0 stay nonnegative
+in floating point, not just in exact arithmetic. Every weighted step ends
+in ``weighted_step`` on floats or ``weighted_step_array`` on arrays, which
+keep a point with f(y) = 0 exactly and apply ``weighted_update``, the one
+place the formula is written, elsewhere.
 
 Baselines from the comparison experiments live here too: explicit Euler,
 Heun's method (the RK2 variant used throughout), the branching
@@ -31,10 +33,9 @@ ufuncs do, while Python's ``**`` on floats rounds differently from
 ``np.power`` (write ``y * y`` or ``np.power(y, m)``).
 
 Each step map is bound once. ``nsfd_step_map`` returns one closure holding
-the model callables, the weights and the denominator; every weighted
-scheme of the registry is one, so the weighted step has one float and one
-array implementation. With a rate derived from the step's own problem and
-representation, a float step evaluates f, f', f_plus and f_minus once each.
+the model callables, the weights and the rate; with a rate derived from the
+step's own problem and representation, a step evaluates f, f', f_plus and
+f_minus once each.
 The Wood-Kojouharov and Mickens cubic and sine maps keep their phi, which
 depends on h alone, in a one-entry memo per map (``_h_memo``): only an h
 that passed ``check_step`` is stored, an array h never is, and the entry is
@@ -60,7 +61,7 @@ from typing import Callable
 
 import numpy as np
 
-from .denominator import DenominatorSpec, check_step, derived_from, derived_rate, phi, phim
+from .denominator import DenominatorSpec, check_step, derived_from, derived_rate, phim
 from .errors import (
     BadHorizon,
     NegativeState,
@@ -106,6 +107,18 @@ def weighted_update(y, ph, fp, fm, alpha: float, beta: float):
     return (y + ph * fp + ph * (alpha * y * fm)) / (1.0 - ph * beta * fm)
 
 
+def weighted_step(x, F, ph, fp, fm, alpha: float, beta: float):
+    """x where F = f(x) is zero, ``weighted_update`` elsewhere, on floats."""
+    return x if F == 0.0 else weighted_update(x, ph, fp, fm, alpha, beta)
+
+
+def weighted_step_array(x, F, ph, fp, fm, alpha, beta):
+    """``weighted_step`` lane by lane, silent where numpy returns inf or nan."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = weighted_update(x, ph, fp, fm, alpha, beta)
+    return out if F.all() else np.where(F == 0.0, x, out)  # nan counts as nonzero
+
+
 def nsfd_step_map(
     problem: ScalarProblem,
     rep: Representation,
@@ -141,21 +154,18 @@ def nsfd_step_map(
                 fm = float(f_minus(y))
                 lam = derived_rate(float(df(y)), fm, rate_beta) if shared else float(rate(y))
                 ph = h * phim(h * lam)
-                if float(f(y)) == 0.0:
-                    return y
-                return weighted_update(y, ph, float(f_plus(y)), fm, alpha, beta)
+                return weighted_step(y, float(f(y)), ph, float(f_plus(y)), fm, alpha, beta)
             except (OverflowError, ZeroDivisionError):
                 pass  # numpy returns inf/nan here: rerun on the array path
         _check_nonnegative(y_n, name)
+        check_step(h)
         y = np.asarray(y_n, dtype=float)
-        fy = np.asarray(f(y), dtype=float)
-        ph = np.asarray(phi(spec, h, y), dtype=float)
-        fp = np.asarray(f_plus(y), dtype=float)
         fm = np.asarray(f_minus(y), dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = weighted_update(y, ph, fp, fm, alpha, beta)
-        if not fy.all():  # some lane has f = 0 (nan counts as nonzero): fix it exactly
-            out = np.where(fy == 0.0, y, out)
+        # the rate array is not bound: it is freed before f and f_plus exist
+        ph = h * phim(h * (derived_rate(np.asarray(df(y), dtype=float), fm, rate_beta) if shared
+                           else np.asarray(rate(y), dtype=float)))
+        out = weighted_step_array(y, np.asarray(f(y), dtype=float), ph,
+                                  np.asarray(f_plus(y), dtype=float), fm, alpha, beta)
         return float(out) if np.ndim(y_n) == 0 else out
 
     return StepMap(label=name, update=update)
@@ -202,7 +212,7 @@ def _baseline_update(update: Callable, y_n, ph):
         try:
             return float(update(float(y_n), float(ph)))
         except (OverflowError, ZeroDivisionError):
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 return float(update(np.asarray(y_n, dtype=float), ph))
     out = update(np.asarray(y_n, dtype=float), ph)
     return float(out) if np.ndim(y_n) == 0 else out

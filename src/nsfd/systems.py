@@ -10,9 +10,9 @@ component is discretized the same way as the scalar method.
 
 A step evaluates F, f_plus, f_minus and, at order 2, the product J.F of
 the Jacobian with F once each at the old state, and updates all components
-at once with the scalar weighted update, so the update is fully explicit
-and each component has a nonnegative numerator over a denominator >= 1:
-componentwise nonnegativity holds for every step size.
+at once with the scalar step ``schemes.weighted_step``, so the update is
+fully explicit and each component has a nonnegative numerator over a
+denominator >= 1: componentwise nonnegativity holds for every step size.
 
 The denominators are phi_i = h * phim(h * lambda_i), as in the scalar
 method. A plain config has lambda_i = 0, so phi_i = h. The order-2 rates
@@ -65,7 +65,7 @@ import numpy as np
 from .denominator import check_step, phim
 from .errors import JacobianMissing, NegativeState
 from .model import Representation, Trajectory
-from .schemes import StepMap, integrate, rk4, weighted_update
+from .schemes import StepMap, integrate, rk4, weighted_step, weighted_step_array
 
 #: |f_i| at or below this switches the component rate to zero (phi_i = h)
 NEAR_EQUILIBRIUM_EPS = 1e-10
@@ -226,27 +226,20 @@ def system_nsfd_step(sys: SystemProblem, cfg: SystemSchemeConfig, state, h):
         lam = second_order_rates(Fv, np.asarray(sys.jacobian(s, Fv), dtype=float), fm, cfg.betas)
     # np.clip's bounds as np.maximum then np.minimum (nan passes through)
     ph = h * phim(np.minimum(np.maximum(h * lam, -KERNEL_ARG_CLAMP), KERNEL_ARG_CLAMP))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        update = weighted_update(s, ph, fp, fm, _weights_at(tuple(cfg.alphas), s.shape),
+    update = weighted_step_array(s, Fv, ph, fp, fm, _weights_at(tuple(cfg.alphas), s.shape),
                                  _weights_at(tuple(cfg.betas), s.shape))
-    if not Fv.all():  # some component with F_i = 0 (nan counts as nonzero)
-        update = np.where(Fv == 0.0, s, update)
     return tuple(update.tolist()) if isinstance(state, tuple) and update.ndim == 1 else update
 
 
 def _float_step(sys: SystemProblem, cfg: SystemSchemeConfig, x: tuple, h: float) -> tuple:
     """The array path of ``system_nsfd_step`` in one pass over the
-    components of a tuple of floats: the fixed point F_i = 0, the rate of
-    ``second_order_rates``, the clamp, the kernel and the weighted update.
-    The result is a tuple."""
+    components of a tuple of floats: the rate of ``second_order_rates``, the
+    clamp, the kernel and ``weighted_step``. The result is a tuple."""
     F = sys.F(x)
     fp, fm = sys.rep.f_plus(x), sys.rep.f_minus(x)
     jf = sys.jacobian(x, F) if cfg.second_order else (None,) * sys.dim
     out = []
     for x_i, F_i, fp_i, fm_i, jf_i, a, b in zip(x, F, fp, fm, jf, cfg.alphas, cfg.betas):
-        if F_i == 0.0:
-            out.append(x_i)
-            continue
         lam = 0.0
         if jf_i is not None and not -NEAR_EQUILIBRIUM_EPS <= F_i <= NEAR_EQUILIBRIUM_EPS:
             lam = 2.0 * b * fm_i - jf_i / F_i
@@ -257,7 +250,7 @@ def _float_step(sys: SystemProblem, cfg: SystemSchemeConfig, x: tuple, h: float)
             arg = KERNEL_ARG_CLAMP
         elif arg < -KERNEL_ARG_CLAMP:
             arg = -KERNEL_ARG_CLAMP
-        out.append(weighted_update(x_i, h * phim(arg), fp_i, fm_i, a, b))
+        out.append(weighted_step(x_i, F_i, h * phim(arg), fp_i, fm_i, a, b))
     return tuple(out)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsfd.denominator import DenominatorSpec, constant_rate, derived_denominator, derived_from
@@ -30,6 +31,8 @@ from nsfd.schemes import (
     reference_solution,
     reference_value,
     rk2_map,
+    weighted_step,
+    weighted_step_array,
     wood_map,
 )
 from nsfd.systems import get_system, plain_config, second_order_config, system_step_map
@@ -149,6 +152,13 @@ def test_derived_float_step_calls_each_callable_once(name):
         calls.clear()
         assert _bits(step.update(y, h)) == _bits(b.step.update(y, h))
         assert calls == {"f": 1, "df": 1, "f_plus": 1, "f_minus": 1}, (y, h)
+    # a batch too: the array path shares f_minus with the rate as well
+    ys = np.linspace(0.0, 10.0, 1000)
+    for h in (0.1, np.geomspace(1e-3, 10.0, ys.size)):
+        calls.clear()
+        got, expected = step.update(ys, h), b.step.update(ys, h)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert calls == {"f": 1, "df": 1, "f_plus": 1, "f_minus": 1}
 
 
 def test_other_rates_go_through_lambda_fn():
@@ -212,6 +222,15 @@ class TestBaselines:
         assert abs(rk2(y, 1.25) - y) < 1e-12  # but fixed for the map
         assert abs(float(p.f(y))) > 0.5  # and not a root of f
         assert y == pytest.approx(1.2, abs=1e-9)
+
+    @pytest.mark.parametrize("label, expected", [("euler", -math.inf), ("rk2", math.nan)])
+    def test_float_rerun_on_the_array_path_is_silent(self, label, expected):
+        # monod's f divides by 1 + y: at y = -1 the float step raises
+        # ZeroDivisionError and reruns on the array path. No errstate here,
+        # so the package's RuntimeWarning filter turns a warning into an error
+        out = get_scheme("monod", label).step.update(-1.0, 0.1)
+        assert type(out) is float
+        assert out == expected or (math.isnan(out) and math.isnan(expected))
 
     def test_wood_first_branch(self):
         expected = float(mp.mpf(0.5) + (1 - mp.e**mp.mpf(-0.1)) * mp.mpf(0.75))
@@ -579,6 +598,50 @@ def test_lane_depends_only_on_its_state_and_step(name):
         alone = np.concatenate([run(y0[i:i + 1], h[i:i + 1]) for i in range(LANES)])
     assert np.array_equal(permuted.view(np.int64), batch[perm].view(np.int64))
     assert np.array_equal(alone.view(np.int64), batch.view(np.int64))
+
+
+#: the inputs of the kernel property: signed zeros, subnormals, huge,
+#: infinite and nan values, and a few ordinary ones
+KERNEL_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300,
+                                 math.inf, -math.inf, math.nan, 1.0, -0.5, 2.0])
+
+
+def _kernel_on_one_lane(*args):
+    """``weighted_step_array`` on one-lane arrays, with every warning an error."""
+    x, F, ph, fp, fm, alpha, beta = args
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = weighted_step_array(*(np.array([v]) for v in (x, F, ph, fp, fm)), alpha, beta)
+    assert out.shape == (1,)
+    return float(out[0])
+
+
+@settings(max_examples=600, deadline=None)
+@given(x=KERNEL_VALUES, F=KERNEL_VALUES, ph=KERNEL_VALUES, fp=KERNEL_VALUES,
+       fm=KERNEL_VALUES, alpha=KERNEL_VALUES, beta=KERNEL_VALUES)
+@example(x=0.5, F=1.0, ph=1.0, fp=1.0, fm=1.0, alpha=0.0, beta=1.0)  # 1 - 1*1*1 = 0
+@example(x=0.0, F=5e-324, ph=0.0, fp=math.inf, fm=0.0, alpha=math.nan, beta=1.0)  # nan + nan
+@example(x=math.nan, F=-0.0, ph=1.0, fp=1.0, fm=1.0, alpha=0.0, beta=1.0)
+@example(x=-0.0, F=0.0, ph=math.nan, fp=math.inf, fm=-math.inf, alpha=-0.5, beta=1.5)
+def test_weighted_step_float_and_array_forms_agree(x, F, ph, fp, fm, alpha, beta):
+    args = (x, F, ph, fp, fm, alpha, beta)
+    lane = _kernel_on_one_lane(*args)  # never warns, a zero denominator included
+    if F == 0.0:  # -0.0 too: x itself, whatever the other inputs
+        assert _bits(weighted_step(*args)) == _bits(lane) == _bits(x)
+        return
+    try:
+        value = weighted_step(*args)
+    except ZeroDivisionError:
+        # the float steps rerun on the array path here, which returns inf or nan
+        assert 1.0 - ph * beta * fm == 0.0
+        return
+    assert type(value) is float
+    if any(math.isnan(v) for v in args) and math.isnan(value):
+        # two nans of different sign can meet, and numpy and Python
+        # arithmetic may keep either: a nan is all that is pinned
+        assert math.isnan(lane)
+    else:
+        assert _bits(value) == _bits(lane)
 
 
 def test_star_import_binds_every_public_name():
