@@ -26,7 +26,8 @@ from .analysis import (
 )
 from .denominator import check_H_conditions, derived_from
 from .errata import errata_report
-from .errors import BadHorizon, NegativeState, NonPositiveStep, StepCountOverflow, ZeroStepCount
+from .errors import (BadHorizon, DimensionMismatch, NegativeState, NonPositiveStep,
+                     StepCountOverflow, ZeroStepCount)
 from .problems import get_problem, get_scheme, problem_names, scheme_bundles
 from .schemes import integrate
 from .splitting import theorem1_split, validate_representation
@@ -48,7 +49,8 @@ FIGURE_STEPS = 40
 
 #: the library's input-contract errors: a command that raises one reports a
 #: usage error (exit 2) instead of a traceback
-INPUT_ERRORS = (NonPositiveStep, NegativeState, BadHorizon, ZeroStepCount, StepCountOverflow)
+INPUT_ERRORS = (NonPositiveStep, NegativeState, BadHorizon, ZeroStepCount, StepCountOverflow,
+                DimensionMismatch)
 
 
 def _fmt_table(x) -> str:

@@ -54,6 +54,10 @@ class GridMismatch(NsfdError):
     """Two trajectories do not share the same time grid."""
 
 
+class DimensionMismatch(NsfdError):
+    """A system state does not have the system's number of components."""
+
+
 class JacobianMissing(NsfdError):
     """Operation requires a Jacobian the system does not provide."""
 

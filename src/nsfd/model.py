@@ -130,8 +130,8 @@ class Representation:
     """A splitting f(y) = f_plus(y) + y * f_minus(y) with f_plus >= 0 and
     f_minus <= 0 on nonnegative states.
 
-    The callables take y, or for a system the state with vector values
-    packed like it, so that F(x) = f_plus(x) + x * f_minus(x) componentwise.
+    The callables take y, or for a system a tuple of components and return
+    one, so that F(x) = f_plus(x) + x * f_minus(x) componentwise.
     """
 
     f_plus: Callable

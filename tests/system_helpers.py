@@ -1,6 +1,7 @@
-"""Controls and probes for the systems tests: the explicit Euler control,
-the step-map spectral radius at an equilibrium, and the RK4 loop over
-zipped tuples that the generated oracle loop is checked against.
+"""Controls and probes for the systems tests: model callables on (..., dim)
+lane arrays, the explicit Euler control, the step-map spectral radius at an
+equilibrium, and the RK4 loop over zipped tuples that the generated oracle
+loop is checked against.
 
 The spectral radius rests on a central-difference (secant) Jacobian of the
 one-step map, which is not differentiable at its equilibria (the order-2
@@ -20,6 +21,14 @@ from nsfd.schemes import StepMap
 from nsfd.systems import SystemProblem, SystemSchemeConfig, system_nsfd_step
 
 
+def on_lanes(fn: Callable, *arrays) -> np.ndarray:
+    """A model callable on (..., dim) arrays (the state, and v for a
+    jacobian), called with their component lanes as the model contract
+    asks; its component values come back stacked along the last axis."""
+    values = fn(*(tuple(np.moveaxis(np.asarray(a, dtype=float), -1, 0)) for a in arrays))
+    return np.stack(np.broadcast_arrays(*values), axis=-1)
+
+
 def euler_system_map(sys: SystemProblem) -> StepMap:
     """Explicit Euler control; like ``system_nsfd_step`` it takes one step
     size for all states or one per state (``h`` of shape (...,)), each
@@ -29,7 +38,7 @@ def euler_system_map(sys: SystemProblem) -> StepMap:
         check_step(h)
         if np.ndim(h):
             h = np.asarray(h, dtype=float)[..., None]
-        return np.asarray(s, float) + h * np.asarray(sys.F(s), float)
+        return np.asarray(s, float) + h * on_lanes(sys.F, s)
 
     return StepMap(label="euler", update=update)
 

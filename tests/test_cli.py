@@ -12,6 +12,7 @@ from nsfd.denominator import DenominatorSpec, derived_denominator
 from nsfd.model import SchemeConfig
 from nsfd.problems import SchemeBundle, get_scheme
 from nsfd.schemes import nsfd_step_map
+from nsfd.systems import DEFAULT_STARTS
 
 
 def _read_csv(path):
@@ -401,6 +402,17 @@ class TestInputContractErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"usage: nsfd {argv[0]}" in err and f"nsfd {argv[0]}: error: {error}: " in err
+        assert not out.exists()
+
+    def test_start_of_the_wrong_dimension(self, tmp_path, capsys, monkeypatch):
+        # the parser checks --y0 against the model, so only a default start
+        # can reach the library's DimensionMismatch
+        monkeypatch.setitem(DEFAULT_STARTS, "lv", (1.0, 2.0, 3.0))
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["run-sys", "--model", "lv", "--h", "0.1", "--t-end", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "nsfd run-sys: error: DimensionMismatch: lv has dim = 2" in capsys.readouterr().err
         assert not out.exists()
 
 

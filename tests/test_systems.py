@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsfd.analysis import positivity_audit
-from nsfd.errors import JacobianMissing, NegativeState, NonPositiveStep
+from nsfd.errors import DimensionMismatch, JacobianMissing, NegativeState, NonPositiveStep
 from nsfd.model import Representation
 from nsfd.problems import get_problem, get_scheme
-from nsfd.schemes import FOLD_BLOCK_FLOATS, StepMap, integrate, rk4
+from nsfd.schemes import FOLD_BLOCK_FLOATS, StepMap, integrate, rk4, weighted_step
 from nsfd.systems import (
     DEFAULT_STARTS,
     NEAR_EQUILIBRIUM_EPS,
@@ -21,18 +21,15 @@ from nsfd.systems import (
     get_system,
     integrate_system,
     lotka_volterra,
-    pack,
     plain_config,
     reference_system_solution,
     second_order_config,
     second_order_rates,
     sirs,
-    state_parts,
     system_nsfd_step,
     system_step_map,
 )
-from nsfd.systems import _float_step
-from system_helpers import euler_system_map, rk4_reference, stability_thresholds
+from system_helpers import euler_system_map, on_lanes, rk4_reference, stability_thresholds
 
 
 class TestSystemStep:
@@ -147,6 +144,36 @@ class TestStepContract:
         integrate_system(system, cfg, DEFAULT_STARTS[name], 0.1, 1.0)
         system_nsfd_step(system, cfg, np.tile(DEFAULT_STARTS[name], (5, 1)), 0.1)
         assert calls == {"F": 11, "J": 11 if order2 else 0, "f_plus": 11, "f_minus": 11}
+
+
+#: lv states without two components along the last axis
+WRONG_DIM_STATES = [(1.0, 2.0, 3.0), (1.0,), np.array([1.0, 2.0, 3.0]), np.ones((4, 3)),
+                    np.ones((4, 1)), np.array(1.0)]
+
+
+class TestDimensionMismatch:
+    @pytest.mark.parametrize("state", WRONG_DIM_STATES)
+    @pytest.mark.parametrize("order2", [True, False])
+    def test_step_names_the_dimension(self, state, order2):
+        lv = get_system("lv")
+        cfg = _config(lv, order2)
+        with pytest.raises(DimensionMismatch, match="lv has dim = 2"):
+            system_nsfd_step(lv, cfg, state, 0.1)
+        # per-lane step sizes, one per lane the state would have
+        with pytest.raises(DimensionMismatch, match="lv has dim = 2"):
+            system_step_map(lv, cfg).update(state, np.full(np.shape(state)[:-1], 0.1))
+
+    @pytest.mark.parametrize("state", WRONG_DIM_STATES)
+    def test_integrate_system_names_the_dimension(self, state):
+        lv = get_system("lv")
+        with pytest.raises(DimensionMismatch, match="lv has dim = 2"):
+            integrate_system(lv, second_order_config(lv), state, 0.1, 1.0)
+
+    @pytest.mark.parametrize("state", WRONG_DIM_STATES + [np.ones((4, 2))])
+    def test_reference_needs_one_state(self, state):
+        lv = get_system("lv")
+        with pytest.raises(DimensionMismatch, match="lv has dim = 2"):
+            reference_system_solution(lv, state, h_out=0.5, t_end=1.0, substeps=10)
 
 
 def _bits(state) -> list[str]:
@@ -295,13 +322,25 @@ class TestFloatPath:
         bad = SystemProblem(
             name="bad-sign", dim=1,
             F=lambda s: s,
-            rep=Representation(f_plus=lambda s: pack(s, [0.0]),
-                               f_minus=lambda s: pack(s, [1.0])),
+            rep=Representation(f_plus=lambda s: (0.0,), f_minus=lambda s: (1.0,)),
         )
         cfg = plain_config(bad)
         out = system_nsfd_step(bad, cfg, np.array([2.0]), 1.0)
         lane = system_nsfd_step(bad, cfg, np.array([[2.0]]), 1.0)[0]
         assert _bits(out) == _bits(lane) == [math.inf.hex()]
+
+    @pytest.mark.parametrize("name, state, h", [
+        ("sirs", (0.0, 1.0, 1e-320), 2.0**-7),  # J.F / F overflows in the rate
+        ("lv", (1e-5, 1e100), 1e300),  # h * lambda overflows in the clamp
+    ])
+    def test_one_lane_array_is_silent_where_the_float_path_is(self, name, state, h):
+        system = get_system(name)
+        cfg = second_order_config(system)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lane = system_nsfd_step(system, cfg, np.array([state]), h)[0]
+            single = system_nsfd_step(system, cfg, state, h)
+        assert _bits(lane) == _bits(single)
 
 
 class TestTupleState:
@@ -325,8 +364,10 @@ class TestTupleState:
         # gives phi_i = h and the denominator 1 - h*f_minus_i = 0 at h = 1
         system = get_system(name, **params)
         cfg = _config(system, order2)
+        # the float step's arithmetic for component 1 (its rate is zero)
         with pytest.raises(ZeroDivisionError):
-            _float_step(system, cfg, state, 1.0)
+            weighted_step(state[1], system.F(state)[1], 1.0, system.rep.f_plus(state)[1],
+                          system.rep.f_minus(state)[1], cfg.alphas[1], cfg.betas[1])
         out = system_nsfd_step(system, cfg, state, 1.0)
         array = system_nsfd_step(system, cfg, np.array(state), 1.0)
         assert type(out) is tuple and isinstance(array, np.ndarray)
@@ -393,8 +434,7 @@ class TestTupleState:
         bad = SystemProblem(
             name="bad-sign", dim=1,
             F=lambda s: s,
-            rep=Representation(f_plus=lambda s: pack(s, [0.0]),
-                               f_minus=lambda s: pack(s, [1.0])),
+            rep=Representation(f_plus=lambda s: (0.0,), f_minus=lambda s: (1.0,)),
         )
         cfg = plain_config(bad)
         rows = [(2.0,)]
@@ -581,22 +621,18 @@ def ring(dim: int = 9, c: float = 0.7, d: float = 0.4) -> SystemProblem:
     """A user system of any dim, written to the model contract:
     x_i' = c*x_{i-1} - x_i*(d + x_{i+1}) around a ring, with its J.v."""
 
-    def F(s):
-        x = state_parts(s)
-        return pack(s, [c * x[i - 1] - x[i] * (d + x[(i + 1) % dim]) for i in range(dim)])
+    def F(x):
+        return tuple([c * x[i - 1] - x[i] * (d + x[(i + 1) % dim]) for i in range(dim)])
 
-    def jvp(s, v):
-        x, w = state_parts(s), state_parts(v)
-        return pack(s, [c * w[i - 1] - (d + x[(i + 1) % dim]) * w[i] - x[i] * w[(i + 1) % dim]
-                        for i in range(dim)])
+    def jvp(x, w):
+        return tuple([c * w[i - 1] - (d + x[(i + 1) % dim]) * w[i] - x[i] * w[(i + 1) % dim]
+                      for i in range(dim)])
 
-    def f_plus(s):
-        x = state_parts(s)
-        return pack(s, [c * x[i - 1] for i in range(dim)])
+    def f_plus(x):
+        return tuple([c * x[i - 1] for i in range(dim)])
 
-    def f_minus(s):
-        x = state_parts(s)
-        return pack(s, [-(d + x[(i + 1) % dim]) for i in range(dim)])
+    def f_minus(x):
+        return tuple([-(d + x[(i + 1) % dim]) for i in range(dim)])
 
     return SystemProblem(name=f"ring{dim}", dim=dim, F=F,
                          rep=Representation(f_plus=f_plus, f_minus=f_minus), jacobian=jvp)
@@ -617,7 +653,7 @@ class TestJacobianVectorProduct:
                 got = system.jacobian(x, e)
                 assert type(got) is tuple
                 assert _bits(got) == _bits(column)
-            got = system.jacobian(lanes, np.tile(e, (len(lanes), 1)))
+            got = on_lanes(system.jacobian, lanes, np.tile(e, (len(lanes), 1)))
             assert got.shape == lanes.shape
             columns = MATRICES[name](*lanes.T)
             for i in range(system.dim):
@@ -645,7 +681,7 @@ class TestJacobianVectorProduct:
                 expected.append(total)
             assert _bits(system.jacobian(x, v)) == _bits(expected), (x, v)
             with np.errstate(all="ignore"):
-                lane = system.jacobian(np.array([x]), np.array([v]))[0]
+                lane = on_lanes(system.jacobian, np.array([x]), np.array([v]))[0]
             assert _bits(lane) == _bits(expected), (x, v)
 
     @pytest.mark.parametrize("name", ["lv", "sirs"])
@@ -654,8 +690,9 @@ class TestJacobianVectorProduct:
         lanes = _box_states(system, 500, seed=4)
         v = np.random.default_rng(5).standard_normal(lanes.shape)
         eps = 1e-5
-        diff = (system.F(lanes + eps * v) - system.F(lanes - eps * v)) / (2.0 * eps)
-        jv = system.jacobian(lanes, v)
+        diff = ((on_lanes(system.F, lanes + eps * v) - on_lanes(system.F, lanes - eps * v))
+                / (2.0 * eps))
+        jv = on_lanes(system.jacobian, lanes, v)
         # F is quadratic, so the central difference is exact up to rounding
         np.testing.assert_allclose(jv, diff, rtol=1e-7, atol=1e-7)
         for x, w, expected in zip(lanes[:50], v[:50], jv[:50]):
@@ -666,8 +703,9 @@ class TestJacobianVectorProduct:
         lanes = _box_states(system, 200, seed=6)
         v = np.random.default_rng(7).standard_normal(lanes.shape)
         eps = 1e-5
-        np.testing.assert_allclose(system.jacobian(lanes, v),
-                                   (system.F(lanes + eps * v) - system.F(lanes - eps * v))
+        np.testing.assert_allclose(on_lanes(system.jacobian, lanes, v),
+                                   (on_lanes(system.F, lanes + eps * v)
+                                    - on_lanes(system.F, lanes - eps * v))
                                    / (2.0 * eps), rtol=1e-7, atol=1e-7)
         cfg = second_order_config(system)
         hs = 10.0 ** np.random.default_rng(8).uniform(-3.0, 2.0, len(lanes))
@@ -682,6 +720,53 @@ class TestJacobianVectorProduct:
             for state in traj.states[1:]:
                 lane = system_nsfd_step(system, cfg, lane, h)
                 assert _bits(state) == _bits(lane[0]), h
+
+
+#: the components of the contract property: zero, the smallest subnormal,
+#: tiny and huge values, inf and nan
+CONTRACT_VALUES = [0.0, 5e-324, 1e-300, 1e200, math.inf, math.nan]
+
+CONTRACT_SYSTEMS = st.one_of(st.sampled_from(["lv", "sirs"]).map(get_system),
+                             st.integers(1, 9).map(ring))
+
+
+def _nan_bits(values) -> list[str]:
+    """``_bits`` with every nan read as nan, whatever its sign: the sign of a
+    float-path nan is not reproducible."""
+    return ["nan" if math.isnan(v) else v.hex()
+            for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+class TestModelContract:
+    """Every model callable and one order-2 step give the same bits on a
+    tuple of floats, on a one-lane batch and on a 200-lane batch."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(system=CONTRACT_SYSTEMS, seed=st.integers(0, 2**32 - 1),
+           h=st.sampled_from([2.0**-7, 0.7, 1e3]))
+    def test_floats_one_lane_and_many_lanes_agree(self, system, seed, h):
+        rng = np.random.default_rng(seed)
+        lanes = rng.choice(CONTRACT_VALUES, size=(200, system.dim))
+        signs = rng.choice([1.0, -1.0], size=lanes.shape)
+        vs = rng.choice(CONTRACT_VALUES, size=lanes.shape) * signs
+        update = system_step_map(system, second_order_config(system)).update
+        callables = [system.F, system.rep.f_plus, system.rep.f_minus]
+        with np.errstate(all="ignore"):
+            many = [on_lanes(fn, lanes) for fn in callables]
+            many.append(on_lanes(system.jacobian, lanes, vs))
+            many.append(update(lanes, h))
+            for i, (x, v) in enumerate(zip(lanes, vs)):
+                floats, w = tuple(x.tolist()), tuple(v.tolist())
+                single = [fn(floats) for fn in callables]
+                single += [system.jacobian(floats, w), update(floats, h)]
+                assert all(type(out) is tuple for out in single)
+                for got, batch in zip(single, many):
+                    assert _nan_bits(got) == _nan_bits(batch[i]), (x, v)
+                if i < 8:
+                    one = [on_lanes(fn, x[None]) for fn in callables]
+                    one += [on_lanes(system.jacobian, x[None], v[None]), update(x[None], h)]
+                    for got, lane in zip(single, one):
+                        assert _nan_bits(got) == _nan_bits(lane[0]), (x, v)
 
 
 class TestPositivityContrast:
@@ -793,8 +878,8 @@ def validate_components(sys: SystemProblem, n_samples: int = 10_000) -> float:
     in the system's sampling box (0 when the signs hold)."""
     lo, hi = sys.box
     states = np.random.default_rng(0).uniform(lo, hi, size=(n_samples, sys.dim))
-    fp = np.asarray(sys.rep.f_plus(states), dtype=float)
-    fm = np.asarray(sys.rep.f_minus(states), dtype=float)
+    fp = on_lanes(sys.rep.f_plus, states)
+    fm = on_lanes(sys.rep.f_minus, states)
     return max(float(np.max(-fp, initial=0.0)), float(np.max(fm, initial=0.0)))
 
 
@@ -807,7 +892,7 @@ class TestComponentSigns:
         lv = get_system("lv")
         bad = SystemProblem(
             name="bad", dim=2, F=lv.F,
-            rep=Representation(f_plus=lambda s: -np.ones_like(np.asarray(s, float)),
+            rep=Representation(f_plus=lambda s: tuple(-np.ones_like(v) for v in s),
                                f_minus=lv.rep.f_minus),
         )
         assert validate_components(bad, n_samples=500) >= 1.0
@@ -819,8 +904,8 @@ class TestComponentSigns:
         lo, hi = system.box
         rng = np.random.default_rng(1)
         lanes = rng.uniform(lo, hi, size=(10_000, system.dim))
-        fp, fm = system.rep.f_plus(lanes), system.rep.f_minus(lanes)
-        F = system.F(lanes)
+        fp, fm = on_lanes(system.rep.f_plus, lanes), on_lanes(system.rep.f_minus, lanes)
+        F = on_lanes(system.F, lanes)
         assert np.all(np.abs(fp + lanes * fm - F) <= 1e-14 * (1.0 + np.abs(F)))
         assert np.all(fp >= 0.0) and np.all(fm <= 0.0)
         for row in lanes[:100]:
