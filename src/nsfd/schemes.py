@@ -21,27 +21,33 @@ its ``StepMap``: the named ones come from the registry
 (``get_scheme(problem, label).step``), a problem of one's own goes through
 ``nsfd_step_map``.
 
-All step updates accept scalar or array states, so property audits can run
-batched. A state and step size that arrive as Python floats take a float
-path that skips numpy's per-call overhead; arrays stay batched. Both paths
-evaluate one shared formula per scheme and agree bit for bit: where float
-arithmetic raises (x/0, overflow in ``**``) and numpy returns inf or nan
-instead, the step reruns on the array path. On the float path the
-right-hand-side callables receive Python floats, so they must compute the
-same value for a float as for a one-element array: arithmetic and numpy
+Every step map, scalar or system, is one ``checked_map``, where the step
+contract is written once; a map supplies only its float and array kernels,
+whether its states must be nonnegative, and (systems) its state adapter.
+A positive map refuses a state with a component below zero, -inf included,
+with NegativeState (nan passes); Euler and RK2 check no state. An h that is
+not finite and > 0 raises NonPositiveStep. A Python-float state (a tuple of
+Python floats for a system) with a Python-float h, by exact type, takes the
+float kernel, which skips numpy's per-call overhead; ``integrate`` makes a
+numpy-scalar h a Python float once. Where float arithmetic raises (x/0,
+overflow in ``**``) and numpy returns inf or nan instead, the step reruns on
+the array path, which runs under one ``np.errstate``, model calls included,
+silent as float arithmetic is. A 0-d state comes back as a float, a tuple
+as a tuple, anything else as an array. Both paths evaluate one formula per
+scheme and agree bit for bit, so the right-hand-side callables must compute
+the same value for a float as for a one-element array: arithmetic and numpy
 ufuncs do, while Python's ``**`` on floats rounds differently from
 ``np.power`` (write ``y * y`` or ``np.power(y, m)``).
 
-Each step map is bound once. ``nsfd_step_map`` returns one closure holding
-the model callables, the weights and the rate; with a rate derived from the
-step's own problem and representation, a step evaluates f, f', f_plus and
-f_minus once each.
+Each step map is bound once. ``nsfd_step_map`` binds the model callables,
+the weights and the rate; with a rate derived from the step's own problem
+and representation, a step evaluates f, f', f_plus and f_minus once each.
 The Wood-Kojouharov and Mickens cubic and sine maps keep their phi, which
-depends on h alone, in a one-entry memo per map (``_h_memo``): only an h
-that passed ``check_step`` is stored, an array h never is, and the entry is
-one ``(h, phi)`` tuple replaced whole, so threads sharing a map never pair
-one h with another h's phi. ``np.expm1`` stays, since ``math.expm1``
-differs from it in the last bit.
+depends on h alone, in a one-entry memo per map (``_HMemo``) on the float
+path, where h has passed the check; the entry is one ``(h, phi)`` tuple
+replaced whole, so threads sharing a map never pair one h with another h's
+phi. ``np.expm1`` stays, since ``math.expm1`` differs from it in the last
+bit.
 
 The fourth-order oracle behind ``reference_solution`` and the systems'
 reference (``rk4``) is a loop written out component by component,
@@ -56,7 +62,7 @@ import linecache
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -93,13 +99,59 @@ class StepMap:
     update: Callable
 
 
-def _check_nonnegative(y_n, scheme: str) -> None:
-    # fmin skips nan as the comparison y < 0 does, so a nan lane neither
-    # raises nor hides a negative one; the message names the lowest state
-    low = y_n if isinstance(y_n, float) else np.fmin.reduce(
-        np.asarray(y_n, dtype=float), axis=None, initial=np.inf)
+def _check_sign(state, label: str) -> None:
+    """The sign rule of a positive map: a component below zero, -inf
+    included, raises NegativeState; nan passes, and ``np.fmin`` skips it, so
+    a nan lane neither raises nor hides a negative one."""
+    low = np.fmin.reduce(np.asarray(state, dtype=float), axis=None, initial=np.inf)
     if low < 0.0:
-        raise NegativeState(f"{scheme} needs y_n >= 0, got min {float(low):.6g}")
+        raise NegativeState(f"{label} needs y_n >= 0, got min {float(low):.6g}")
+
+
+def checked_map(label: str, float_step: Callable, array_step: Callable, positive: bool,
+                kind: type | None = float, floats: Callable = lambda state: None,
+                lanes: Callable = partial(np.asarray, dtype=float)) -> StepMap:
+    """The step map of ``float_step(x, h)``, one step on Python floats that
+    raises where float arithmetic does, and ``array_step(s, h)``, the same
+    step on a float array, under the contract of the module docstring;
+    ``positive`` says whether states must be nonnegative. The state adapter
+    gives each path its form of a state: a state of exact type ``kind`` is
+    the float kernel's as it is (None: every state goes through
+    ``floats``), ``floats(state)`` gives it for any other state, or None for
+    the array path, and ``lanes(state)`` gives the array kernel's; either
+    raises on a state it refuses. A float-path state that ``floats`` built
+    (from a system's (dim,) array) comes back as an array.
+    """
+
+    # one errstate over the whole path; a decorator costs half a ``with``
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
+    def on_arrays(state, h):
+        s = lanes(state)
+        if positive:
+            _check_sign(s, label)
+        check_step(h)
+        out = array_step(s, h)
+        if out.ndim == 0:
+            return float(out)
+        return tuple(out.tolist()) if isinstance(state, tuple) and out.ndim == 1 else out
+
+    def update(state, h):
+        x = state if type(state) is kind else floats(state)
+        if x is not None and type(h) is float:
+            # a least component >= 0 rules out a negative (a nan first fails it)
+            if positive and not (x if type(x) is float else min(x)) >= 0.0:
+                _check_sign(x, label)
+            if not 0.0 < h < math.inf:
+                check_step(h)  # raises NonPositiveStep
+            try:
+                out = float_step(x, h)
+            except (OverflowError, ZeroDivisionError):
+                pass  # numpy returns inf/nan here: rerun on the array path
+            else:
+                return out if x is state else np.array(out)
+        return on_arrays(state, h)
+
+    return StepMap(label=label, update=update)
 
 
 def weighted_update(y, ph, fp, fm, alpha: float, beta: float):
@@ -112,10 +164,10 @@ def weighted_step(x, F, ph, fp, fm, alpha: float, beta: float):
     return x if F == 0.0 else weighted_update(x, ph, fp, fm, alpha, beta)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def weighted_step_array(x, F, ph, fp, fm, alpha, beta):
     """``weighted_step`` lane by lane, silent where numpy returns inf or nan."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = weighted_update(x, ph, fp, fm, alpha, beta)
+    out = weighted_update(x, ph, fp, fm, alpha, beta)
     return out if F.all() else np.where(F == 0.0, x, out)  # nan counts as nonzero
 
 
@@ -132,8 +184,8 @@ def nsfd_step_map(
     a finite h > 0 (NonPositiveStep); states with f(y_n) = 0 are returned
     exactly. When the rate of ``spec`` was derived from this very
     ``problem`` and ``rep`` (``derived_from``, compared by identity), the
-    float step hands its f_minus value to ``derived_rate``; any other rate
-    goes through ``spec.lambda_fn``.
+    step hands its f_minus value to ``derived_rate``; any other rate goes
+    through ``spec.lambda_fn``.
     """
     f, f_plus, f_minus, df = problem.f, rep.f_plus, rep.f_minus, problem.df
     alpha, beta = config.alpha, config.beta
@@ -141,34 +193,22 @@ def nsfd_step_map(
     source = derived_from(rate)
     shared = source is not None and source[0] is problem and source[1] is rep
     rate_beta = source[2] if shared else None
-    name = label or config.label or "nsfd"
 
-    def update(y_n, h):
-        if isinstance(y_n, float) and isinstance(h, float):
-            y, h = float(y_n), float(h)  # numpy float scalars are floats too
-            if y < 0.0:
-                _check_nonnegative(y, name)  # raises NegativeState
-            if not 0.0 < h < math.inf:
-                check_step(h)  # raises NonPositiveStep, at an equilibrium too
-            try:
-                fm = float(f_minus(y))
-                lam = derived_rate(float(df(y)), fm, rate_beta) if shared else float(rate(y))
-                ph = h * phim(h * lam)
-                return weighted_step(y, float(f(y)), ph, float(f_plus(y)), fm, alpha, beta)
-            except (OverflowError, ZeroDivisionError):
-                pass  # numpy returns inf/nan here: rerun on the array path
-        _check_nonnegative(y_n, name)
-        check_step(h)
-        y = np.asarray(y_n, dtype=float)
+    def on_floats(y, h):
+        fm = float(f_minus(y))
+        lam = derived_rate(float(df(y)), fm, rate_beta) if shared else float(rate(y))
+        # f(y) is only compared with zero, so it need not be a Python float
+        return weighted_step(y, f(y), h * phim(h * lam), float(f_plus(y)), fm, alpha, beta)
+
+    def on_arrays(y, h):
         fm = np.asarray(f_minus(y), dtype=float)
         # the rate array is not bound: it is freed before f and f_plus exist
         ph = h * phim(h * (derived_rate(np.asarray(df(y), dtype=float), fm, rate_beta) if shared
                            else np.asarray(rate(y), dtype=float)))
-        out = weighted_step_array(y, np.asarray(f(y), dtype=float), ph,
-                                  np.asarray(f_plus(y), dtype=float), fm, alpha, beta)
-        return float(out) if np.ndim(y_n) == 0 else out
+        return weighted_step_array(y, np.asarray(f(y), dtype=float), ph,
+                                   np.asarray(f_plus(y), dtype=float), fm, alpha, beta)
 
-    return StepMap(label=name, update=update)
+    return checked_map(label or config.label or "nsfd", on_floats, on_arrays, positive=True)
 
 
 def euler_map(problem: ScalarProblem) -> StepMap:
@@ -178,11 +218,7 @@ def euler_map(problem: ScalarProblem) -> StepMap:
     def euler(y, h):
         return y + h * f(y)
 
-    def update(y_n, h):
-        check_step(h)
-        return _baseline_update(euler, y_n, h)
-
-    return StepMap(label="euler", update=update)
+    return checked_map("euler", lambda y, h: float(euler(y, h)), euler, positive=False)
 
 
 def rk2_map(problem: ScalarProblem) -> StepMap:
@@ -195,50 +231,21 @@ def rk2_map(problem: ScalarProblem) -> StepMap:
         k2 = f(y + h * k1)
         return y + 0.5 * h * (k1 + k2)
 
-    def update(y_n, h):
-        check_step(h)
-        return _baseline_update(heun, y_n, h)
-
-    return StepMap(label="rk2", update=update)
+    return checked_map("rk2", lambda y, h: float(heun(y, h)), heun, positive=False)
 
 
-def _baseline_update(update: Callable, y_n, ph):
-    """``update(y, ph)`` on Python floats when ``y_n`` and ``ph`` (a
-    denominator or a step size) are floats, on a float array otherwise (a
-    float result for a 0-d state). Float inputs whose arithmetic raises rerun
-    on the array path, which returns numpy's inf/nan instead, silently like
-    the float path."""
-    if isinstance(y_n, float) and isinstance(ph, float):
-        try:
-            return float(update(float(y_n), float(ph)))
-        except (OverflowError, ZeroDivisionError):
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                return float(update(np.asarray(y_n, dtype=float), ph))
-    out = update(np.asarray(y_n, dtype=float), ph)
-    return float(out) if np.ndim(y_n) == 0 else out
+class _HMemo(dict):
+    """``float(of_h(h))`` by a checked float h, for the one h a fold steps at:
+    a miss clears the dict, and no thread pairs one h with another's value."""
 
+    def __init__(self, of_h: Callable):
+        super().__init__()
+        self.of_h = of_h
 
-def _h_memo(of_h: Callable) -> Callable:
-    """``of_h(h)`` after ``check_step(h)``, with a one-entry memo for a float
-    h: a fold steps at one h. Only an h that passed the check is stored, so
-    a hit needs no check, and an array h is never stored. The entry is read
-    and replaced as one ``(h, value)`` tuple, so a thread never sees a torn
-    pair; threads that miss together each compute the value."""
-    entry = (math.nan, math.nan)  # nan equals no h
-
-    def at(h):
-        nonlocal entry
-        if not isinstance(h, float):
-            check_step(h)
-            return of_h(h)
-        key, value = entry
-        if key != h:
-            check_step(h)
-            value = of_h(h)
-            entry = (h, value)
+    def __missing__(self, h):
+        self.clear()
+        value = self[h] = float(self.of_h(h))
         return value
-
-    return at
 
 
 def wood_map() -> StepMap:
@@ -247,45 +254,41 @@ def wood_map() -> StepMap:
     The branch follows the sign of f(y) = 2y - y^2; both branches keep
     nonnegative states nonnegative.
     """
-    phi_at = _h_memo(lambda h: -float(np.expm1(-h)))
+    of_h = lambda h: -np.expm1(-h)  # noqa: E731
+    phi_at = _HMemo(of_h).__getitem__
 
-    def update(y_n, h):
-        if isinstance(y_n, float) and isinstance(h, float):
-            y, ph = float(y_n), phi_at(h)  # checks h unless memoised
-            fy = 2.0 * y - y * y
-            try:
-                return y + ph * fy if fy >= 0.0 else y * y / (y - ph * fy)
-            except ZeroDivisionError:
-                pass  # numpy returns inf/nan here: rerun on the array path
-        else:
-            check_step(h)
-        y = np.asarray(y_n, dtype=float)
-        ph = -np.expm1(-h)
+    def on_floats(y, h):
+        ph = phi_at(h)
         fy = 2.0 * y - y * y
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(fy >= 0.0, y + ph * fy, y * y / (y - ph * fy))
-        return float(out) if np.ndim(y_n) == 0 else out
+        return y + ph * fy if fy >= 0.0 else y * y / (y - ph * fy)
 
-    return StepMap(label="wood", update=update)
+    def on_arrays(y, h):
+        ph = of_h(h)
+        fy = 2.0 * y - y * y
+        return np.where(fy >= 0.0, y + ph * fy, y * y / (y - ph * fy))
+
+    return checked_map("wood", on_floats, on_arrays, positive=True)
+
+
+def _mickens_map(update: Callable, of_h: Callable) -> StepMap:
+    """A Mickens scheme ``update(y, phi)``, phi = ``of_h(h)`` (memoised on floats)."""
+    phi_at = _HMemo(of_h).__getitem__
+    return checked_map("mickens", lambda y, h: float(update(y, phi_at(h))),
+                       lambda y, h: update(y, of_h(h)), positive=True)
 
 
 def mickens_cubic_map() -> StepMap:
     """First-order nonstandard scheme for y' = y(1 - y^2) with maximum
     symmetry in the cubic term; phi = (1 - e^{-2h})/2."""
-    phi_at = _h_memo(lambda h: 0.5 * (-np.expm1(-2.0 * h)))
-
-    def update(y, ph):
-        return y * ((2.0 + ph) + ph * y * y) / ((2.0 - ph) + 3.0 * ph * y * y)
-
-    return StepMap(label="mickens", update=lambda y_n, h: _baseline_update(update, y_n, phi_at(h)))
+    return _mickens_map(
+        lambda y, ph: y * ((2.0 + ph) + ph * y * y) / ((2.0 - ph) + 3.0 * ph * y * y),
+        lambda h: 0.5 * (-np.expm1(-2.0 * h)))
 
 
 def mickens_sine_map() -> StepMap:
     """First-order nonstandard scheme for y' = sin(pi*y);
     phi = (1 - e^{-pi*h})/pi < 1/pi keeps iterates inside [0, inf)."""
-    phi_at = _h_memo(lambda h: h * phim(np.pi * h))
-    update = lambda y, ph: y + ph * np.sin(np.pi * y)  # noqa: E731
-    return StepMap(label="mickens", update=lambda y_n, h: _baseline_update(update, y_n, phi_at(h)))
+    return _mickens_map(lambda y, ph: y + ph * np.sin(np.pi * y), lambda h: h * phim(np.pi * h))
 
 
 def integrate(
@@ -312,6 +315,7 @@ def integrate(
     list and written as one array, so numpy does not parse a row per step.
     """
     check_step(h)
+    h = float(h)  # a numpy-scalar h once, so that every step can take a float path
     if not 0.0 <= t_end < math.inf:
         raise BadHorizon(f"t_end = {t_end!r} must be finite and >= 0")
     steps = t_end / h
@@ -326,6 +330,7 @@ def integrate(
             f"t_end = {t_end} is not a multiple of h = {h}; integrating to {n * h}",
             stacklevel=2,
         )
+    update = step.update
     start = np.asarray(y0, dtype=float)
     states = np.empty((n + 1,) + start.shape, dtype=float)
     states[0] = start
@@ -337,14 +342,14 @@ def integrate(
         for first in range(1, n + 1, rows):
             last = min(first + rows, n + 1)
             for _ in range(first, last):
-                y = step.update(y, h)
+                y = update(y, h)
                 store(y)
             states[first:last] = np.array(flat, dtype=float).reshape((last - first,) + start.shape)
             flat.clear()
     else:
         y = start
         for k in range(n):
-            y = step.update(y, h)
+            y = update(y, h)
             states[k + 1] = y
     return Trajectory(
         times=np.arange(n + 1, dtype=float) * h,

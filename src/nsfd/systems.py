@@ -42,33 +42,33 @@ once for both, e.g. ``x, y = s; return (a * x - b * x * y, ...)``, with
 arithmetic and numpy ufuncs only: Python's ``**`` rounds differently from
 numpy's power on floats.
 
-``system_step_map`` binds a system and config once. A single state with a
-Python-float step size takes the float path, one pass over the components
-with the rate of ``second_order_rates`` and the clamp written as two
-comparisons (nan passes, signed zeros keep their sign, as with the array
-path's maximum and minimum): a tuple of floats comes back as a tuple, an
-array of shape (dim,) as an array. Where float arithmetic raises (x/0), the
-step reruns on the array path, which returns numpy's inf or nan. The array
-path hands the models the component lanes of a (..., dim) state and runs
-the rates, kernel and weighted step on the (dim, ...) stack of their
-values. Both paths agree bit for bit, except that the sign of a float-path
-nan is not reproducible, so bit comparisons treat any nan as nan. A state
-without ``dim`` components raises ``DimensionMismatch``.
+``system_step_map`` binds a system and config once, on the step contract
+of ``schemes.checked_map`` (components >= 0, -inf included). A tuple of
+Python floats with a Python-float h takes the float path, one pass over the
+components with the rate of ``second_order_rates`` and the clamp written as
+two comparisons (nan passes, signed zeros keep their sign, as with the
+array path's maximum and minimum); an array of shape (dim,) goes there as a
+tuple and comes back as an array. The array path hands the models the
+component lanes of a (..., dim) state and runs the rates, kernel and
+weighted step on the (dim, ...) stack of their values. Both paths agree bit
+for bit, except that the sign of a float-path nan is not reproducible, so
+bit comparisons treat any nan as nan. A state without ``dim`` components,
+or a tuple that is not one state (a tuple of lane arrays), raises
+``DimensionMismatch``, naming the (n, dim) layout of a batch.
 """
 
 from __future__ import annotations
 
 import inspect
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .denominator import check_step, phim
-from .errors import DimensionMismatch, JacobianMissing, NegativeState
+from .denominator import phim
+from .errors import DimensionMismatch, JacobianMissing
 from .model import Representation, Trajectory
-from .schemes import StepMap, integrate, rk4, weighted_step, weighted_step_array
+from .schemes import StepMap, checked_map, integrate, rk4, weighted_step, weighted_step_array
 
 #: |f_i| at or below this switches the component rate to zero (phi_i = h)
 NEAR_EQUILIBRIUM_EPS = 1e-10
@@ -87,7 +87,6 @@ class SystemProblem:
     jacobian: Optional[Callable] = None  # (state, v) -> J(state).v: the Jacobian as a linear map
     conserved: Optional[Callable] = None  # state -> float diagnostic
     equilibria: tuple = ()
-    box: tuple[float, float] = (0.0, 10.0)  # sampling box for sign audits
 
 
 @dataclass(frozen=True)
@@ -129,6 +128,7 @@ def second_order_config(sys: SystemProblem, betas: Optional[tuple] = None,
     return replace(plain_config(sys, betas, label=label), second_order=True)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def second_order_rates(F, JF, f_minus, betas):
     """The order-2 rates lambda_i = 2*beta_i*f_minus_i - (J F)_i / F_i of
     every component, zero where |F_i| <= NEAR_EQUILIBRIUM_EPS, as an array.
@@ -139,8 +139,7 @@ def second_order_rates(F, JF, f_minus, betas):
     """
     F = np.asarray(F, dtype=float)
     column = np.reshape(betas, (-1,) + (1,) * (F.ndim - 1))  # beta_i along the lanes
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        full = 2.0 * column * f_minus - np.divide(JF, F)
+    full = 2.0 * column * f_minus - np.divide(JF, F)
     return np.where(np.abs(F) <= NEAR_EQUILIBRIUM_EPS, 0.0, full)
 
 
@@ -154,7 +153,17 @@ def _stacked(components, lanes: tuple) -> np.ndarray:
 
 
 def _dimension_mismatch(sys: SystemProblem, shape: tuple) -> DimensionMismatch:
-    return DimensionMismatch(f"{sys.name} has dim = {sys.dim}: got a state of shape {shape}")
+    return DimensionMismatch(f"{sys.name} has dim = {sys.dim}: got a state of shape {shape} "
+                             f"(a batch of n states is an (n, {sys.dim}) array)")
+
+
+def _states(sys: SystemProblem, state) -> np.ndarray:
+    """``state`` as a float array of states along its last axis; a tuple must
+    be one state (a tuple of lane arrays is not read as rows of lanes)."""
+    s = np.asarray(state, dtype=float)
+    if s.ndim == 0 or s.shape[-1] != sys.dim or (isinstance(state, tuple) and s.ndim != 1):
+        raise _dimension_mismatch(sys, s.shape)
+    return s
 
 
 def system_nsfd_step(sys: SystemProblem, cfg: SystemSchemeConfig, state, h):
@@ -167,11 +176,10 @@ def system_step_map(sys: SystemProblem, cfg: SystemSchemeConfig) -> StepMap:
     callables, the (alpha_i, beta_i) pairs and the order flag.
 
     ``update(state, h)`` needs ``sys.dim`` components along the state's last
-    axis (DimensionMismatch), components >= 0 (NegativeState for a finite
-    negative one) and h finite and > 0 (NonPositiveStep). Components with
-    F_i = 0 are returned exactly. A batch of shape (..., dim) takes one step
-    size or one per state (``h`` of shape (...,), broadcast over the lane
-    axes only).
+    axis (DimensionMismatch), components >= 0 (NegativeState) and h finite
+    and > 0 (NonPositiveStep). Components with F_i = 0 are returned exactly.
+    A batch of shape (..., dim) takes one step size or one per state (``h``
+    of shape (...,), broadcast over the lane axes only).
     """
     F, f_plus, f_minus, jvp = sys.F, sys.rep.f_plus, sys.rep.f_minus, sys.jacobian
     dim, second_order = sys.dim, cfg.second_order
@@ -179,49 +187,33 @@ def system_step_map(sys: SystemProblem, cfg: SystemSchemeConfig) -> StepMap:
     alphas, betas = np.array(cfg.alphas), np.array(cfg.betas)
     eps, clamp = NEAR_EQUILIBRIUM_EPS, KERNEL_ARG_CLAMP
 
-    def update(state, h):
-        if isinstance(h, float):
-            h = float(h)  # numpy float scalars are floats too
-            x = None
-            if isinstance(state, tuple):
-                if len(state) != dim:
-                    raise _dimension_mismatch(sys, np.shape(state))
-                if isinstance(state[0], float):
-                    x = state
-            elif np.shape(state) == (dim,):
-                x = tuple(np.asarray(state, dtype=float).tolist())
-            if x is not None:
-                # finite negatives only, as below; a min >= 0 rules them out
-                # in one call (a nan met first fails it and the scan decides)
-                if not min(x) >= 0.0 and any(-math.inf < v < 0.0 for v in x):
-                    raise NegativeState("system state must be componentwise nonnegative")
-                if not 0.0 < h < math.inf:
-                    check_step(h)  # raises NonPositiveStep
-                try:
-                    Fx, fp, fm = F(x), f_plus(x), f_minus(x)
-                    jf = jvp(x, Fx) if second_order else Fx
-                    out = []
-                    for x_i, F_i, fp_i, fm_i, jf_i, (a, b) in zip(x, Fx, fp, fm, jf, pairs):
-                        arg = 0.0
-                        if second_order and not -eps <= F_i <= eps:
-                            arg = h * (2.0 * b * fm_i - jf_i / F_i)
-                            if arg > clamp:
-                                arg = clamp
-                            elif arg < -clamp:
-                                arg = -clamp
-                        out.append(weighted_step(x_i, F_i, h * phim(arg), fp_i, fm_i, a, b))
-                    return tuple(out) if x is state else np.array(out)
-                except (OverflowError, ZeroDivisionError):
-                    pass  # numpy returns inf/nan here: rerun on the array path
-        s = np.asarray(state, dtype=float)
-        if s.ndim == 0 or s.shape[-1] != dim:
-            raise _dimension_mismatch(sys, s.shape)
-        # finite negatives only; the lowest component (fmin skips nan) rules
-        # out the common case in one reduction
-        if (np.fmin.reduce(s, axis=None, initial=np.inf) < 0.0
-                and np.any(s[np.isfinite(s)] < 0.0)):
-            raise NegativeState("system state must be componentwise nonnegative")
-        check_step(h)
+    def float_state(state):
+        # a tuple of Python floats as it is; a (dim,) array as a tuple of floats
+        if type(state) is tuple:
+            if len(state) != dim:
+                raise _dimension_mismatch(sys, (len(state),))
+            for v in state:
+                if type(v) is not float:
+                    return None
+            return state
+        return tuple(np.asarray(state, dtype=float).tolist()) if np.shape(state) == (dim,) else None
+
+    def on_floats(x, h):
+        Fx, fp, fm = F(x), f_plus(x), f_minus(x)
+        jf = jvp(x, Fx) if second_order else Fx
+        out = []
+        for x_i, F_i, fp_i, fm_i, jf_i, (a, b) in zip(x, Fx, fp, fm, jf, pairs):
+            arg = 0.0
+            if second_order and not -eps <= F_i <= eps:
+                arg = h * (2.0 * b * fm_i - jf_i / F_i)
+                if arg > clamp:
+                    arg = clamp
+                elif arg < -clamp:
+                    arg = -clamp
+            out.append(weighted_step(x_i, F_i, h * phim(arg), fp_i, fm_i, a, b))
+        return tuple(out)
+
+    def on_arrays(s, h):
         lanes = s.shape[:-1]
         if np.ndim(h) and np.shape(h) != lanes:
             # per-lane step sizes pair with the lanes, never with the components
@@ -233,16 +225,14 @@ def system_step_map(sys: SystemProblem, cfg: SystemSchemeConfig) -> StepMap:
         jf = jvp(parts, Fx) if second_order else None
         Fv, fp, fm = _stacked(Fx, lanes), _stacked(fp, lanes), _stacked(fm, lanes)
         column = (dim,) + (1,) * len(lanes)  # a weight along the lanes
-        # silent where numpy returns inf or nan, as float arithmetic is
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            lam = second_order_rates(Fv, _stacked(jf, lanes), fm, betas) if second_order else 0.0
-            # np.clip's bounds as np.maximum then np.minimum (nan passes through)
-            ph = h * phim(np.minimum(np.maximum(h * lam, -clamp), clamp))
-        out = np.moveaxis(weighted_step_array(x, Fv, ph, fp, fm, alphas.reshape(column),
-                                              betas.reshape(column)), 0, -1)
-        return tuple(out.tolist()) if isinstance(state, tuple) and out.ndim == 1 else out
+        lam = second_order_rates(Fv, _stacked(jf, lanes), fm, betas) if second_order else 0.0
+        # np.clip's bounds as np.maximum then np.minimum (nan passes through)
+        ph = h * phim(np.minimum(np.maximum(h * lam, -clamp), clamp))
+        return np.moveaxis(weighted_step_array(x, Fv, ph, fp, fm, alphas.reshape(column),
+                                               betas.reshape(column)), 0, -1)
 
-    return StepMap(label=cfg.label or "system-nsfd", update=update)
+    return checked_map(cfg.label or "system-nsfd", on_floats, on_arrays, positive=True,
+                       kind=None, floats=float_state, lanes=lambda state: _states(sys, state))
 
 
 def integrate_system(
@@ -256,11 +246,9 @@ def integrate_system(
     single start state is carried as a tuple of floats, so every step runs
     on the float path without converting the state. A start without
     ``sys.dim`` components along its last axis raises DimensionMismatch."""
-    shape = np.shape(state0)
-    if shape[-1:] != (sys.dim,):
-        raise _dimension_mismatch(sys, shape)
-    if shape == (sys.dim,):
-        state0 = tuple(np.asarray(state0, dtype=float).tolist())
+    start = _states(sys, state0)
+    if start.ndim == 1:
+        state0 = tuple(start.tolist())
     return integrate(system_step_map(sys, cfg), state0, h, t_end, problem_name=sys.name)
 
 

@@ -1,7 +1,7 @@
-"""Controls and probes for the systems tests: model callables on (..., dim)
-lane arrays, the explicit Euler control, the step-map spectral radius at an
-equilibrium, and the RK4 loop over zipped tuples that the generated oracle
-loop is checked against.
+"""Controls and probes for the systems tests: the box test states are
+sampled from, model callables on (..., dim) lane arrays, the explicit Euler
+control, the step-map spectral radius at an equilibrium, and the RK4 loop
+over zipped tuples that the generated oracle loop is checked against.
 
 The spectral radius rests on a central-difference (secant) Jacobian of the
 one-step map, which is not differentiable at its equilibria (the order-2
@@ -19,6 +19,11 @@ import numpy as np
 from nsfd.denominator import check_step
 from nsfd.schemes import StepMap
 from nsfd.systems import SystemProblem, SystemSchemeConfig, system_nsfd_step
+
+
+#: the box that seeded test states of the registry systems are sampled
+#: from, for sign audits
+BOX = (0.0, 10.0)
 
 
 def on_lanes(fn: Callable, *arrays) -> np.ndarray:

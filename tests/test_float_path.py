@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsfd.denominator import ARG_FLOOR, SERIES_CUTOFF, DenominatorSpec, derived_from, phi
-from nsfd.errors import NonPositiveStep, NsfdError
+from nsfd.errors import NegativeState, NonPositiveStep, NsfdError
 from nsfd.problems import get_problem, problem_names, scheme_bundles
 from nsfd.schemes import nsfd_step_map
 
@@ -140,6 +140,17 @@ def test_powerlaw_baselines_keep_float_results_and_survive_overflow(label, y, h)
 def test_negative_states_fail_alike(name, y, h):
     update = CASES[name]
     assert same(outcome(update, y, h), outcome(update, np.array([y]), h))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_positive_maps_refuse_negative_states(name):
+    # every map here is claimed positive: the branching and Mickens maps
+    # refuse a negative state like the weighted ones, -inf included
+    problem, label = name.split("/")
+    assert scheme_bundles(problem)[label].positive
+    for y in (-0.5, -math.inf):
+        assert outcome(CASES[name], y, 0.1) is NegativeState
+        assert outcome(CASES[name], np.array([y]), 0.1) is NegativeState
 
 
 bad_steps = st.one_of(

@@ -36,6 +36,7 @@ from nsfd.schemes import (
     wood_map,
 )
 from nsfd.systems import get_system, plain_config, second_order_config, system_step_map
+from system_helpers import BOX
 
 mp.mp.dps = 50
 
@@ -367,6 +368,22 @@ class TestPowerlaw:
 
 
 class TestIntegrate:
+    @pytest.mark.parametrize("name", ["logistic/snsfd1", "lv/nsfd2"])
+    def test_numpy_scalar_step_size_reaches_every_step_as_a_python_float(self, name):
+        # integrate converts a numpy-scalar h once, so every step takes the
+        # float path and gives the bits of a Python-float h
+        model, label = name.split("/")
+        if model == "lv":
+            lv = get_system("lv")
+            base, y0 = system_step_map(lv, second_order_config(lv, label=label)), (2.0, 0.5)
+        else:
+            base, y0 = get_scheme(model, label).step, 0.5
+        seen = set()
+        step = replace(base, update=lambda y, h: seen.add(type(h)) or base.update(y, h))
+        from_numpy = integrate(step, y0, np.float64(0.01), 1.0)
+        assert seen == {float}
+        assert from_numpy.states.tobytes() == integrate(base, y0, 0.01, 1.0).states.tobytes()
+
     def test_grid_and_final_value(self):
         b = get_scheme("logistic", "snsfd1")
         traj = integrate(b.step, 0.5, 0.1, 1.0, problem_name="logistic")
@@ -567,7 +584,7 @@ def _lanes(name, rng):
     model = name.split("/")[0]
     if model in ("lv", "sirs"):
         system = get_system(model)
-        y = rng.uniform(*system.box, size=(LANES, system.dim))
+        y = rng.uniform(*BOX, size=(LANES, system.dim))
         y[::8] = np.resize(np.array(system.equilibria), (LANES // 8, system.dim))
     else:
         problem = get_problem(model)

@@ -29,7 +29,7 @@ from nsfd.systems import (
     system_nsfd_step,
     system_step_map,
 )
-from system_helpers import euler_system_map, on_lanes, rk4_reference, stability_thresholds
+from system_helpers import BOX, euler_system_map, on_lanes, rk4_reference, stability_thresholds
 
 
 class TestSystemStep:
@@ -58,6 +58,20 @@ class TestSystemStep:
         lv = get_system("lv")
         with pytest.raises(NegativeState):
             system_nsfd_step(lv, plain_config(lv), np.array([1.0, -0.1]), 0.5)
+
+    @pytest.mark.parametrize("name", ["lv", "sirs"])
+    @pytest.mark.parametrize("order2", [True, False])
+    def test_minus_inf_component_rejected(self, name, order2):
+        # -inf is negative: refused on the float path and in a lane
+        system = get_system(name)
+        cfg = _config(system, order2)
+        for i in range(system.dim):
+            state = list(DEFAULT_STARTS[name])
+            state[i] = -math.inf
+            with pytest.raises(NegativeState):
+                system_nsfd_step(system, cfg, tuple(state), 0.1)
+            with pytest.raises(NegativeState):
+                system_nsfd_step(system, cfg, np.array([state]), 0.1)
 
     def test_zero_start_stays_zero(self):
         lv = get_system("lv")
@@ -146,9 +160,10 @@ class TestStepContract:
         assert calls == {"F": 11, "J": 11 if order2 else 0, "f_plus": 11, "f_minus": 11}
 
 
-#: lv states without two components along the last axis
+#: lv states without two components along the last axis, and a tuple of
+#: two lane arrays, which is not one state (a batch is an (n, 2) array)
 WRONG_DIM_STATES = [(1.0, 2.0, 3.0), (1.0,), np.array([1.0, 2.0, 3.0]), np.ones((4, 3)),
-                    np.ones((4, 1)), np.array(1.0)]
+                    np.ones((4, 1)), np.array(1.0), (np.array([1.0, 2.0]), np.array([3.0, 4.0]))]
 
 
 class TestDimensionMismatch:
@@ -262,8 +277,8 @@ class TestFloatPath:
                          st.sampled_from([-math.inf, math.inf, math.nan])),
            data=st.data())
     def test_both_paths_raise_alike(self, name, order2, h, odd, data):
-        # a finite negative component raises NegativeState; non-finite ones
-        # pass the guard on both paths and give the same inf/nan bits
+        # a negative component, -inf included, raises NegativeState; inf and
+        # nan pass the guard on both paths and give the same inf/nan bits
         system = get_system(name)
         cfg = _config(system, order2)
         state = np.array(DEFAULT_STARTS[name], dtype=float)
@@ -278,7 +293,7 @@ class TestFloatPath:
                 return type(exc)
 
         single, lane = outcome(state), outcome(state[None, :])
-        if odd is not None and math.isfinite(odd):
+        if odd is not None and odd < 0.0:
             assert single is NegativeState
         elif not 0.0 < h < math.inf:
             assert single is NonPositiveStep
@@ -291,10 +306,9 @@ class TestFloatPath:
         lanes = np.array([[np.nan, 1.0], [2.0, 0.5], [1.0, -0.25]])
         with pytest.raises(NegativeState):
             system_nsfd_step(lv, cfg, lanes, np.array([0.1, 0.2, 0.3]))
-        lanes[2, 1] = -math.inf  # a non-finite negative passes the guard
-        with np.errstate(all="ignore"):
-            out = system_nsfd_step(lv, cfg, lanes, np.array([0.1, 0.2, 0.3]))
-        assert np.all(np.isfinite(out[1]))
+        lanes[2, 1] = -math.inf  # -inf is negative too
+        with pytest.raises(NegativeState):
+            system_nsfd_step(lv, cfg, lanes, np.array([0.1, 0.2, 0.3]))
 
     @pytest.mark.parametrize("name", ["lv", "sirs"])
     @pytest.mark.parametrize("order2", [True, False])
@@ -332,6 +346,8 @@ class TestFloatPath:
     @pytest.mark.parametrize("name, state, h", [
         ("sirs", (0.0, 1.0, 1e-320), 2.0**-7),  # J.F / F overflows in the rate
         ("lv", (1e-5, 1e100), 1e300),  # h * lambda overflows in the clamp
+        ("lv", (1e150, 1e200), 2.0**-7),  # the model's F overflows: nan on both paths
+        ("sirs", (1e150, 1e200, 0.0), 2.0**-7),
     ])
     def test_one_lane_array_is_silent_where_the_float_path_is(self, name, state, h):
         system = get_system(name)
@@ -384,8 +400,8 @@ class TestTupleState:
     @pytest.mark.parametrize("order2", [True, False])
     @pytest.mark.parametrize("h", [1e-3, 0.7, 1.0])
     def test_numpy_float_step_size_runs_on_python_floats(self, name, params, state, order2, h):
-        # np.float64 is a float: the step takes it as a Python float, so no
-        # component is computed in numpy scalar arithmetic
+        # a numpy-scalar h takes the array path, which hands a tuple state
+        # back as Python floats with the float path's bits
         system = get_system(name, **params)
         cfg = _config(system, order2)
         # no errstate here: the array-path rerun is silent, and the suite
@@ -613,7 +629,7 @@ MATRICES = {"lv": _lv_matrix, "sirs": _sirs_matrix}
 
 
 def _box_states(system, n, seed):
-    lo, hi = system.box
+    lo, hi = BOX
     return np.random.default_rng(seed).uniform(lo, hi, size=(n, system.dim))
 
 
@@ -875,8 +891,8 @@ class TestModelRegistry:
 
 def validate_components(sys: SystemProblem, n_samples: int = 10_000) -> float:
     """Largest violation of f_plus >= 0 >= f_minus over seeded random states
-    in the system's sampling box (0 when the signs hold)."""
-    lo, hi = sys.box
+    in the sampling box ``BOX`` (0 when the signs hold)."""
+    lo, hi = BOX
     states = np.random.default_rng(0).uniform(lo, hi, size=(n_samples, sys.dim))
     fp = on_lanes(sys.rep.f_plus, states)
     fm = on_lanes(sys.rep.f_minus, states)
@@ -901,7 +917,7 @@ class TestComponentSigns:
     def test_registry_splittings_rebuild_F(self, name):
         # f_plus + x*f_minus == F with f_plus >= 0 >= f_minus, on lanes and on floats
         system = get_system(name)
-        lo, hi = system.box
+        lo, hi = BOX
         rng = np.random.default_rng(1)
         lanes = rng.uniform(lo, hi, size=(10_000, system.dim))
         fp, fm = on_lanes(system.rep.f_plus, lanes), on_lanes(system.rep.f_minus, lanes)
