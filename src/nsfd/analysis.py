@@ -284,9 +284,12 @@ def elementary_stability_audit(
     matching stability type at every sampled step size.
 
     For schemes in the weighted family (rep/config/spec given) the fixed
-    point Jacobian is the closed form 1 + phi*f'/(1 - phi*beta*f_minus);
-    for arbitrary step maps it is estimated by differencing the map.
-    Non-hyperbolic equilibria are skipped and reported.
+    point Jacobian is the closed form J = 1 + phi*f'/(1 - phi*beta*f_minus).
+    As 1 - phi*beta*f_minus >= 1, J > 1 at an unstable equilibrium for every
+    h, and |J| < 1 at a stable one iff phi*(2*beta*f_minus - f') < 2, which
+    is H2 (``check_H_conditions`` decides it for every h). For arbitrary
+    step maps J is estimated by differencing the map. Non-hyperbolic
+    equilibria are skipped and reported.
     """
     family = rep is not None and config is not None and spec is not None
     if not family and step_map is None:

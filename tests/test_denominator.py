@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import mpmath as mp
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from nsfd.denominator import (
     ARG_FLOOR,
+    H_SAMPLES,
     SERIES_CUTOFF,
     DenominatorSpec,
     check_H_conditions,
@@ -20,6 +22,7 @@ from nsfd.denominator import (
 from nsfd.errors import NonPositiveStep
 from nsfd.model import SchemeConfig
 from nsfd.problems import get_problem, get_scheme, problem_names, scheme_bundles
+from nsfd.splitting import theorem1_split
 
 mp.mp.dps = 50
 
@@ -235,6 +238,124 @@ class TestCheckHConditions:
         b = get_scheme(problem, label)
         report = check_H_conditions(get_problem(problem), b.rep, b.config, b.spec)
         assert not report.h3
+
+    @pytest.mark.parametrize("rate", [1e4, -1e4])
+    def test_stiff_constant_rate_passes_h1(self, rate):
+        # phi/h - 1 = -h*rate/2 + O(h^2) settles only once h << 1/|rate|;
+        # H1 asks for a finite rate, not for that regime inside a fixed grid
+        b = get_scheme("logistic", "snsfd1")
+        report = check_H_conditions(get_problem("logistic"), b.rep, b.config, constant_rate(rate))
+        assert report.h1, str(report)
+        assert not any(w.startswith("H1") for w in report.witnesses)
+
+    @pytest.mark.parametrize("beta", [1.0, 1.5])
+    def test_automatic_powerlaw_split_passes_h1(self, beta):
+        # its derived rate reaches |lam| = 1999 (beta = 1) on the window
+        p = get_problem("powerlaw")
+        rep = theorem1_split(p)
+        spec = derived_denominator(p, rep, beta)
+        report = check_H_conditions(p, rep, SchemeConfig(1.0 - beta, beta), spec)
+        assert report.passed, str(report)
+
+    def test_non_finite_rate_fails_h1(self):
+        b = get_scheme("logistic", "snsfd1")
+        spec = DenominatorSpec(lambda_fn=lambda y: np.where(np.asarray(y) > 5.0, np.inf, -2.0))
+        report = check_H_conditions(get_problem("logistic"), b.rep, b.config, spec)
+        assert not report.h1
+        assert any(w.startswith("H1: lam(y) = inf is not finite at y = 5.05") for w in report.witnesses)
+
+    @pytest.mark.parametrize("rate", [1e-3, 0.0])
+    def test_h2_fails_beyond_the_probed_steps(self, rate):
+        # bracket = 0.01 > 2*rate: phi*bracket reaches 2 only past h = 100
+        b = get_scheme("logistic", "snsfd1")
+        cfg = SchemeConfig(alpha=0.5025, beta=0.4975, validate=False)
+        report = check_H_conditions(get_problem("logistic"), b.rep, cfg, constant_rate(rate))
+        assert not report.h2
+        (note,) = [w for w in report.witnesses if w.startswith("H2")]
+        h_star = float(re.search(r"h >= (\S+)", note).group(1))
+        bracket = 2.0 * cfg.beta * float(b.rep.f_minus(2.0)) - get_problem("logistic").df(2.0)
+        assert h_star == pytest.approx(223.144 if rate else 2.0 / bracket, rel=1e-6)
+
+
+def _spec_bundles():
+    return [(p, label, b) for p in problem_names()
+            for label, b in sorted(scheme_bundles(p).items()) if b.spec is not None]
+
+
+#: (H1, H2, H3, H4) of every registry bundle with a denominator
+REGISTRY_VERDICTS = {
+    ("cubic", "nsfd"): (True, True, True, True),
+    ("cubic", "nsfd-printed"): (True, True, False, True),
+    ("logistic", "snsfd1"): (True, True, True, True),
+    ("logistic", "snsfd2"): (True, True, True, True),
+    ("logistic", "snsfd3"): (True, True, True, True),
+    ("logistic", "snsfd3-printed"): (True, True, False, True),
+    ("logistic", "wood"): (True, False, False, False),
+    ("monod", "mickens"): (True, True, False, True),
+    ("monod", "nsfd"): (True, True, True, True),
+    ("monod", "nsfd-printed"): (True, True, False, True),
+    ("powerlaw", "nsfd"): (True, True, True, True),
+    ("powerlaw", "nsfd-printed"): (True, True, False, True),
+    ("sine", "nsfd"): (True, True, True, True),
+    ("sine", "nsfd-printed"): (True, True, False, True),
+}
+
+
+def _h2_cases():
+    """The registry bundles and two weights outside the family whose H2
+    fails: (problem, rep, config, spec)."""
+    cases = [(get_problem(p), b.rep, b.config, b.spec) for p, _, b in _spec_bundles()]
+    b = get_scheme("logistic", "snsfd1")
+    cfg = SchemeConfig(alpha=0.5025, beta=0.4975, validate=False)
+    return cases + [(get_problem("logistic"), b.rep, cfg, constant_rate(r)) for r in (1e-3, 0.0)]
+
+
+class TestClosedFormsAgainstSampling:
+    """The closed-form H1 and H2 against the sampled checks they replaced:
+    phi on an 11 x 100 (h, y) grid, and phi*bracket at four step sizes."""
+
+    def test_registry_verdicts(self):
+        verdicts = {}
+        for p, label, b in _spec_bundles():
+            r = check_H_conditions(get_problem(p), b.rep, b.config, b.spec)
+            verdicts[(p, label)] = (r.h1, r.h2, r.h3, r.h4)
+        assert verdicts == REGISTRY_VERDICTS
+
+    def test_h1_iff_phi_positive_and_finite_on_the_grid(self):
+        for p, label, b in _spec_bundles():
+            problem = get_problem(p)
+            lo, hi = problem.domain_hint
+            ys = np.linspace(max(lo, 0.0), hi, H_SAMPLES)
+            sampled = all(np.all((v > 0.0) & np.isfinite(v))
+                          for v in (np.asarray(phi(b.spec, float(h), ys)) for h in np.logspace(-3, 2, 11)))
+            report = check_H_conditions(problem, b.rep, b.config, b.spec)
+            assert report.h1 == sampled, (p, label)
+
+    def test_h2_holds_at_the_probed_steps_wherever_it_holds(self):
+        for problem, rep, config, spec in _h2_cases():
+            if not check_H_conditions(problem, rep, config, spec).h2:
+                continue
+            for eq in problem.stable_equilibria:
+                bracket = 2.0 * config.beta * float(rep.f_minus(eq.y_star)) - eq.derivative_at
+                for h in (0.1, 1.0, 10.0, 100.0):
+                    assert float(phi(spec, h, eq.y_star)) * bracket < 2.0, (problem.name, h)
+
+    def test_h2_witness_step_reaches_the_bound(self):
+        # phi(h*) * bracket = 2 in 50-digit arithmetic at the printed h*
+        failing = 0
+        for problem, rep, config, spec in _h2_cases():
+            report = check_H_conditions(problem, rep, config, spec)
+            notes = [w for w in report.witnesses if w.startswith("H2: fails")]
+            assert len(notes) == (0 if report.h2 else 1)
+            for note in notes:
+                failing += 1
+                y_star = problem.stable_equilibria[0].y_star
+                bracket = 2.0 * config.beta * float(rep.f_minus(y_star)) - problem.df(y_star)
+                lam = mp.mpf(float(spec.lambda_fn(y_star)))
+                h = mp.mpf(re.search(r"h >= (\S+)", note).group(1))
+                ph = h if lam == 0 else -mp.expm1(-h * lam) / lam
+                assert float(ph * bracket) == pytest.approx(2.0, rel=1e-5), note
+        assert failing == 3  # logistic/wood and the two weights above
 
 
 def test_derived_denominator_labels():
