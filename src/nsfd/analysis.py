@@ -224,7 +224,8 @@ def positivity_audit(
 def map_fixed_points(update: Callable, lo: float, hi: float, h: float,
                      n_scan: int = 100_000) -> list[float]:
     """Fixed points of a one-step map on [lo, hi]: sign-change refinement of
-    the displacement update(y, h) - y."""
+    the displacement update(y, h) - y, scanned by ``scan_zeros`` one block
+    of lanes at a time (each lane is stepped on its own)."""
     return scan_zeros(lambda y: np.asarray(update(y, h), dtype=float) - np.asarray(y, dtype=float),
                       lo, hi, n_scan)
 

@@ -104,6 +104,19 @@ def _h_list(text: str) -> list[float]:
     return hs
 
 
+def _int_at_least(least: int):
+    """Argparse type for an integer flag of at least ``least``."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+    return parse
+
+
 def _state(text: str) -> tuple[float, ...]:
     """--y0 of run-sys: comma-separated numbers (none for an empty value)."""
     try:
@@ -397,10 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", parents=[config_parent], help="conditions + positivity + stability for the registry")
     p.add_argument("--problem", choices=problem_names())
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=64, help="random starts per scheme")
-    p.add_argument("--steps", type=int, default=1000, help="steps per positivity run")
-    p.add_argument("--scan", type=int, default=20000, help="fixed-point scan resolution")
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--samples", type=_int_at_least(1), default=64, help="random starts per scheme")
+    p.add_argument("--steps", type=_int_at_least(1), default=1000, help="steps per positivity run")
+    p.add_argument("--scan", type=_int_at_least(2), default=20000, help="fixed-point scan resolution")
     p.set_defaults(func=cmd_audit, _required=())
 
     p = sub.add_parser("errata", parents=[config_parent], help="printed vs derived denominator report")

@@ -186,12 +186,19 @@ class Trajectory:
         if len(t) != len(s):
             raise ValueError(f"times/states length mismatch: {len(t)} vs {len(s)}")
         if len(t) > 1:
-            dt = np.diff(t)
-            # tolerance scales with the local time magnitude: k*h rounds to ulp(k*h)
-            tol = 1e-14 * (np.abs(t[1:]) + self.h)
-            if np.any(np.abs(dt - self.h) > tol):
-                k = int(np.argmax(np.abs(dt - self.h)))
-                raise ValueError(f"non-uniform spacing at index {k}: {dt[k]!r} vs h = {self.h!r}")
+            # |diff(t) - h| against 1e-14 * (|t[1:]| + h), built in place so
+            # the check holds two grid-sized arrays; the tolerance scales with
+            # the local time magnitude: k*h rounds to ulp(k*h)
+            gap = np.diff(t)
+            gap -= self.h
+            np.abs(gap, out=gap)
+            tol = np.abs(t[1:])
+            tol += self.h
+            tol *= 1e-14
+            if np.any(gap > tol):
+                k = int(np.argmax(gap))
+                raise ValueError(f"non-uniform spacing at index {k}: {t[k + 1] - t[k]!r} "
+                                 f"vs h = {self.h!r}")
 
     @property
     def final_time(self) -> float:

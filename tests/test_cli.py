@@ -331,6 +331,42 @@ class TestUnknownScheme:
         assert "choose from euler, mickens, nsfd, nsfd-printed, rk2" in capsys.readouterr().err
 
 
+class TestAuditCounts:
+    """audit's integer flags: a value that would check nothing, or make
+    numpy raise, is a usage error naming the flag."""
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--scan", "-5", "must be at least 2"),
+        ("--scan", "0", "must be at least 2"),
+        ("--scan", "1", "must be at least 2"),
+        ("--samples", "-3", "must be at least 1"),
+        ("--samples", "0", "must be at least 1"),
+        ("--steps", "-2", "must be at least 1"),
+        ("--steps", "1.5", "expected an integer"),
+        ("--seed", "-1", "must be at least 0"),
+    ])
+    def test_out_of_range_is_a_usage_error(self, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--problem", "logistic", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: {message}" in captured.err
+        assert "all audits passed" not in captured.out
+
+    def test_config_value_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_text("problem=logistic\nscan=0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "audit"])
+        assert exc.value.code == 2
+        assert "argument --scan: must be at least 2" in capsys.readouterr().err
+
+    def test_smallest_counts_run(self, capsys):
+        assert main(["audit", "--problem", "logistic", "--seed", "0", "--samples", "1",
+                     "--steps", "1", "--scan", "2"]) == 0
+        assert "all audits passed" in capsys.readouterr().out
+
+
 class TestRates:
     def test_csv_output(self, tmp_path):
         out = tmp_path / "rates.csv"
