@@ -3,15 +3,7 @@ schemes of second order, with baselines, a systems extension, and audit
 tooling.
 """
 
-from .denominator import (
-    DenominatorSpec,
-    check_H_conditions,
-    constant_rate,
-    derived_denominator,
-    lambda_from_scheme,
-    phi,
-    phim,
-)
+from .denominator import check_H_conditions, constant_rate, derived_denominator, phi, phim
 from .model import (
     Equilibrium,
     Representation,
@@ -44,8 +36,7 @@ from .systems import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DenominatorSpec", "check_H_conditions", "constant_rate", "derived_denominator",
-    "lambda_from_scheme", "phi", "phim",
+    "check_H_conditions", "constant_rate", "derived_denominator", "phi", "phim",
     "Equilibrium", "Representation", "ScalarProblem", "SchemeConfig", "Trajectory",
     "classify_equilibria", "register_problem",
     "get_problem", "get_scheme", "problem_names", "scheme_bundles",

@@ -8,7 +8,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .denominator import DenominatorSpec, phi
+from .denominator import phi
 from .errors import GridMismatch, NegativeState, SampleMismatch
 from .model import Representation, ScalarProblem, SchemeConfig, Trajectory
 from .rootfind import scan_zeros
@@ -17,6 +17,9 @@ from .schemes import StepMap, integrate, nsfd_step_map, reference_value
 #: errors below this are reported as exact to machine precision and excluded
 #: from rate fits (the log-rate of rounding noise is meaningless)
 EXACT_FLOOR = 1e-13
+
+#: half-width of the difference quotient that estimates a map's derivative
+MAP_DERIVATIVE_EPS = 1e-6
 
 
 def error_at_final(traj: Trajectory, reference) -> float:
@@ -236,7 +239,7 @@ class StabilityRow:
     classification: str
     h: float
     jacobian: float
-    consistent: Optional[bool]  # None when the equilibrium is non-hyperbolic
+    consistent: bool
 
 
 @dataclass(frozen=True)
@@ -248,13 +251,13 @@ class StabilityReport:
 
     @property
     def passed(self) -> bool:
-        return not self.spurious and all(r.consistent for r in self.rows if r.consistent is not None)
+        return not self.spurious and all(r.consistent for r in self.rows)
 
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         lines = [f"{status}: {self.scheme_label}: |J| vs stability type at each equilibrium"]
         for r in self.rows:
-            ok = "-" if r.consistent is None else ("ok" if r.consistent else "INCONSISTENT")
+            ok = "ok" if r.consistent else "INCONSISTENT"
             lines.append(
                 f"  y* = {r.y_star:.6g} ({r.classification}), h = {r.h:g}: J = {r.jacobian:.6g} [{ok}]"
             )
@@ -265,11 +268,9 @@ class StabilityReport:
         return "\n".join(lines)
 
 
-def _map_derivative(update: Callable, y: float, h: float, eps: float = 1e-6) -> float:
-    lo = max(0.0, y - eps)
-    return float(
-        (np.asarray(update(y + eps, h), float) - np.asarray(update(lo, h), float)) / (y + eps - lo)
-    )
+def _map_derivative(update: Callable, y: float, h: float) -> float:
+    lo, hi = max(0.0, y - MAP_DERIVATIVE_EPS), y + MAP_DERIVATIVE_EPS
+    return float((np.asarray(update(hi, h), float) - np.asarray(update(lo, h), float)) / (hi - lo))
 
 
 def elementary_stability_audit(
@@ -277,15 +278,16 @@ def elementary_stability_audit(
     h_samples,
     rep: Optional[Representation] = None,
     config: Optional[SchemeConfig] = None,
-    spec: Optional[DenominatorSpec] = None,
+    spec: Optional[Callable] = None,
     step_map: Optional[StepMap] = None,
     scan_points: int = 100_000,
 ) -> StabilityReport:
     """Check that the scheme's fixed points are exactly the equilibria with
     matching stability type at every sampled step size.
 
-    For schemes in the weighted family (rep/config/spec given) the fixed
-    point Jacobian is the closed form J = 1 + phi*f'/(1 - phi*beta*f_minus).
+    For schemes in the weighted family (rep/config/spec given, ``spec``
+    being the rate function lam of the denominator) the fixed point
+    Jacobian is the closed form J = 1 + phi*f'/(1 - phi*beta*f_minus).
     As 1 - phi*beta*f_minus >= 1, J > 1 at an unstable equilibrium for every
     h, and |J| < 1 at a stable one iff phi*(2*beta*f_minus - f') < 2, which
     is H2 (``check_H_conditions`` decides it for every h). For arbitrary

@@ -18,12 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    convergence_rates,
-    elementary_stability_audit,
-    positivity_audit,
-    rate_between,
-)
+from .analysis import convergence_rates, elementary_stability_audit, positivity_audit
 from .denominator import check_H_conditions, derived_from
 from .errata import errata_report
 from .errors import (BadHorizon, DimensionMismatch, NegativeState, NonPositiveStep,
@@ -313,7 +308,7 @@ def cmd_audit(args) -> int:
                 print(f"[conditions] {pname}/{label}: {'pass' if conditions.passed else 'fail'}")
                 # non-derived denominators are expected to miss H3; only a
                 # derived scheme failing its own contract is an audit failure
-                if derived_from(bundle.spec.lambda_fn) is not None and not conditions.passed:
+                if derived_from(bundle.spec) is not None and not conditions.passed:
                     failures.append(f"{pname}/{label}: derived scheme fails conditions")
             if bundle.positive:
                 y0s = rng.uniform(0.0, 10.0, size=args.samples)

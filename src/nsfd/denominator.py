@@ -14,19 +14,20 @@ closed form for every h, from lam alone: H1 holds where lam is finite, H2
 compares the stability bracket with 2*lam, since phi = (1 - exp(-h*lam))/lam
 increases in h towards 1/lam (lam > 0) or without bound, and H3 compares -lam
 with its target. A state-independent denominator is a constant rate
-(``constant_rate``).
+(``constant_rate``). A denominator is its rate function: the ``spec``
+that ``phi``, ``check_H_conditions`` and the weighted step take is lam
+itself, a callable of the state evaluated elementwise.
 
 Several of the denominators printed in the source material use rates that
 satisfy the negated condition d2phi/dh2(0, y) = -(f' - 2*beta*f_minus)
 instead; those variants are kept available (they are what the errata report
 measures), and ``derived_from`` tells a derived rate from any other.
 
-The rate functions of ``lambda_from_scheme`` take a bit-identical float
-path for a Python-float state. ``phi`` runs vectorised only: it serves the
-stability audit, while every step forms h * phim(h * lam) from the rate it
-has evaluated itself.
+The derived rate takes a bit-identical float path for a Python-float state.
+``phi`` runs vectorised only: it serves the stability audit, while every
+step forms h * phim(h * lam) from the rate it has evaluated itself.
 
-A derived rate records what it was derived from: ``lambda_from_scheme``
+A derived rate records what it was derived from: ``derived_denominator``
 returns a partial holding ``(problem, rep, beta)``, and ``derived_from``
 reads them back. The expression -f' + 2*beta*f_minus is written once, in
 ``derived_rate``, which takes the values of f' and f_minus. The weighted
@@ -98,22 +99,6 @@ def phim(x):
     return out
 
 
-@dataclass(frozen=True)
-class DenominatorSpec:
-    """The denominator h * phim(h * lambda_fn(y)) of a rate function.
-
-    ``lambda_fn`` may return a negative rate (e.g. the exact logistic
-    denominator (exp(2h) - 1)/2 has rate -2).
-    """
-
-    lambda_fn: Callable
-    label: str = ""
-
-
-def _as_float_array(v) -> np.ndarray:
-    return np.asarray(v, dtype=float)
-
-
 def check_step(h) -> None:
     """Raise NonPositiveStep unless every step size in ``h`` is finite and > 0."""
     if isinstance(h, float):
@@ -133,42 +118,34 @@ def derived_rate(df, fm, beta: float):
 
 
 def _derived_lambda(problem: ScalarProblem, rep: Representation, beta: float, y):
-    values = float if isinstance(y, float) else _as_float_array
+    values = float if isinstance(y, float) else partial(np.asarray, dtype=float)
     return derived_rate(values(problem.df(y)), values(rep.f_minus(y)), beta)
 
 
-def lambda_from_scheme(problem: ScalarProblem, rep: Representation, beta: float) -> Callable:
-    """The rate function lam(y) = -f'(y) + 2*beta*f_minus(y); a Python float
-    for a float state. It is a ``functools.partial`` holding ``(problem,
-    rep, beta)``, which ``derived_from`` reads back."""
+def derived_denominator(problem: ScalarProblem, rep: Representation, beta: float) -> Callable:
+    """The rate lam(y) = -f'(y) + 2*beta*f_minus(y) of the order-2
+    denominator induced by a representation and weight beta; a Python
+    float for a float state. It is a ``functools.partial`` holding
+    ``(problem, rep, beta)``, which ``derived_from`` reads back."""
     return partial(_derived_lambda, problem, rep, beta)
 
 
 def derived_from(rate: Callable) -> Optional[tuple]:
     """``(problem, rep, beta)`` of a rate function made by
-    ``lambda_from_scheme``; None for any other rate function."""
+    ``derived_denominator``; None for any other rate function."""
     if isinstance(rate, partial) and rate.func is _derived_lambda:
         return rate.args
     return None
 
 
-def derived_denominator(
-    problem: ScalarProblem, rep: Representation, beta: float, label: str = ""
-) -> DenominatorSpec:
-    """The order-2 denominator induced by a representation and weight beta."""
-    return DenominatorSpec(
-        lambda_fn=lambda_from_scheme(problem, rep, beta),
-        label=label or f"derived(beta={beta:g})",
-    )
+def constant_rate(rate: float) -> Callable:
+    """The rate function of the state-independent denominator h * phim(h * rate)."""
+    return lambda y: rate
 
 
-def constant_rate(rate: float, label: str = "") -> DenominatorSpec:
-    """The state-independent denominator h * phim(h * rate)."""
-    return DenominatorSpec(lambda_fn=lambda y: rate, label=label or f"rate({rate:g})")
-
-
-def phi(spec: DenominatorSpec, h, y):
-    """Evaluate the denominator at step size h > 0 and state y.
+def phi(spec: Callable, h, y):
+    """Evaluate the denominator h * phim(h * spec(y)) of the rate function
+    ``spec`` (lam) at step size h > 0 and state y.
 
     ``h`` may be an array broadcastable against ``y`` (used by batched
     property audits where every trajectory carries its own step size). The
@@ -177,7 +154,7 @@ def phi(spec: DenominatorSpec, h, y):
     is finite and > 0. No step calls it.
     """
     check_step(h)
-    return h * phim(h * _as_float_array(spec.lambda_fn(y)))
+    return h * phim(h * np.asarray(spec(y), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -210,11 +187,11 @@ def check_H_conditions(
     problem: ScalarProblem,
     rep: Representation,
     config: SchemeConfig,
-    spec: DenominatorSpec,
+    spec: Callable,
 ) -> ConditionReport:
     """Audit the four conditions (H1)-(H4) under which the weighted scheme
     is positive, elementary stable and second-order accurate, each for
-    every h > 0 at once.
+    every h > 0 at once, for the rate function ``spec`` (lam).
 
     H1 and H3 read lam once, at ``H_SAMPLES`` states of the domain window.
     H1 (phi > 0, phi/h - 1 = -h*lam/2 + O(h^2)) holds iff lam is finite
@@ -230,7 +207,7 @@ def check_H_conditions(
     """
     lo, hi = problem.domain_hint
     ys = np.linspace(max(lo, 0.0), hi, H_SAMPLES)
-    lam = np.broadcast_to(_as_float_array(spec.lambda_fn(ys)), ys.shape)
+    lam = np.broadcast_to(np.asarray(spec(ys), dtype=float), ys.shape)
     notes: list[str] = []
 
     # H1: phi is positive and finite wherever lam is finite
@@ -247,7 +224,7 @@ def check_H_conditions(
         if bracket <= 0.0:
             notes.append(f"H2: vacuous at y* = {eq.y_star:.6g} (2*beta*f_minus - f' = {bracket:.6g} <= 0)")
             continue
-        lam_star = float(spec.lambda_fn(eq.y_star))
+        lam_star = float(spec(eq.y_star))
         if lam_star > 0.0 and bracket <= 2.0 * lam_star:
             continue
         h2 = False
@@ -259,7 +236,8 @@ def check_H_conditions(
 
     # H3: d2phi/dh2(0, y) = -lam(y) exactly, so H3 is the identity
     # -lam(y) = f'(y) - 2*beta*f_minus(y), checked on the samples
-    target = _as_float_array(problem.df(ys)) - 2.0 * config.beta * _as_float_array(rep.f_minus(ys))
+    target = (np.asarray(problem.df(ys), dtype=float)
+              - 2.0 * config.beta * np.asarray(rep.f_minus(ys), dtype=float))
     err = np.abs(-lam - target) / (1.0 + np.abs(target))
     worst = int(np.argmax(err))
     h3 = bool(err[worst] <= H3_RTOL)

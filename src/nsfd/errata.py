@@ -5,13 +5,18 @@ against the derived ones, with the measured convergence order of each.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from .analysis import RateTable, convergence_rates
-from .denominator import DenominatorSpec
 from .problems import get_problem, get_scheme
 from .schemes import nsfd_step_map
+
+#: every measured order is a fit over these step sizes, from Y0 to time T
+H_LIST = (1e-1, 1e-2, 1e-3)
+T = 1.0
+Y0 = 0.5
 
 
 @dataclass(frozen=True)
@@ -30,11 +35,13 @@ def _order_str(table: RateTable) -> str:
     return f"{table.fitted_order:.3f}"
 
 
-def _measured(problem_name: str, label: str, y0: float = 0.5, T: float = 1.0,
-              h_list=(1e-1, 1e-2, 1e-3)) -> str:
+def _measured(problem_name: str, label: str, rate: Optional[Callable] = None) -> str:
+    """The measured order of a registry scheme, or of its weighted update
+    with the rate function ``rate`` in place of its own."""
     problem = get_problem(problem_name)
-    step = get_scheme(problem_name, label).step
-    return _order_str(convergence_rates(problem, step, h_list, T, y0))
+    bundle = get_scheme(problem_name, label)
+    step = bundle.step if rate is None else nsfd_step_map(problem, bundle.rep, bundle.config, rate)
+    return _order_str(convergence_rates(problem, step, H_LIST, T, Y0))
 
 
 def errata_entries() -> list[ErrataEntry]:
@@ -58,7 +65,8 @@ def errata_entries() -> list[ErrataEntry]:
             scheme="logistic / snsfd2",
             printed="phi = (1 - e^{-(2 + 3y)h})/(2 + 3y)",
             derived="phi = (e^{(2 + 3y)h} - 1)/(2 + 3y)   [lambda = -2 - 3y]",
-            printed_order=_order_str(_printed_snsfd2_rates()),
+            printed_order=_measured("logistic", "snsfd2",
+                                    rate=lambda y: 2.0 + 3.0 * np.asarray(y, dtype=float)),
             derived_order=_measured("logistic", "snsfd2"),
             remark="printed rate has the sign of f' - 2*beta*f_minus instead of its negative",
         ),
@@ -121,23 +129,13 @@ def errata_entries() -> list[ErrataEntry]:
     return entries
 
 
-def _printed_snsfd2_rates() -> RateTable:
-    problem = get_problem("logistic")
-    bundle = get_scheme("logistic", "snsfd2")
-    printed_lambda = lambda y: 2.0 + 3.0 * np.asarray(y, dtype=float)  # noqa: E731
-    spec = DenominatorSpec(lambda_fn=printed_lambda,
-                           label="(1 - e^{-(2+3y)h})/(2+3y) as printed")
-    step = nsfd_step_map(problem, bundle.rep, bundle.config, spec, label="snsfd2-printed")
-    return convergence_rates(problem, step, (1e-1, 1e-2, 1e-3), 1.0, 0.5)
-
-
 def errata_report() -> str:
     """Human-readable errata: printed denominator, derived denominator, and
     the measured convergence order of each."""
     lines = [
         "Denominator errata: printed displays vs derived rate functions",
         "(derived = self-consistent construction lambda = -f' + 2*beta*f_minus;",
-        " measured orders are least-squares log-log fits at T = 1, y0 = 0.5)",
+        f" measured orders are least-squares log-log fits at T = {T:g}, y0 = {Y0:g})",
         "",
     ]
     for e in errata_entries():

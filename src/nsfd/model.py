@@ -20,6 +20,11 @@ from .rootfind import scan_zeros
 #: hyperbolicity tolerance: |f'(y*)| at or below this is treated as zero
 TOL_HYP = 1e-10
 
+#: ``register_problem`` compares df with a central difference of f of this
+#: half-width at this many states of the domain window
+DERIVATIVE_EPS = 1e-6
+DERIVATIVE_SAMPLES = 1000
+
 
 @dataclass(frozen=True)
 class Equilibrium:
@@ -69,12 +74,12 @@ class ScalarProblem:
         return tuple(e for e in self.equilibria if e.is_stable)
 
 
-def _check_derivative(problem: ScalarProblem, n_samples: int = 1000, eps: float = 1e-6) -> None:
+def _check_derivative(problem: ScalarProblem) -> None:
     lo, hi = problem.domain_hint
-    ys = np.linspace(lo, hi, n_samples)
+    ys = np.linspace(lo, hi, DERIVATIVE_SAMPLES)
     claimed = np.asarray(problem.df(ys), dtype=float)
-    fd = (np.asarray(problem.f(ys + eps), dtype=float)
-          - np.asarray(problem.f(ys - eps), dtype=float)) / (2.0 * eps)
+    fd = (np.asarray(problem.f(ys + DERIVATIVE_EPS), dtype=float)
+          - np.asarray(problem.f(ys - DERIVATIVE_EPS), dtype=float)) / (2.0 * DERIVATIVE_EPS)
     bad = np.abs(claimed - fd) > 1e-6 * (1.0 + np.abs(claimed))
     if np.any(bad):
         i = int(np.argmax(bad))

@@ -1,25 +1,29 @@
 """Registry of the benchmark scalar problems and their named schemes.
 
-Problems: logistic, cubic, sine, monod (mu = 2), powerlaw (a = 1, b = 1,
-m = 4). Each carries a hand-written representation f = f_plus + y*f_minus;
-the automatic splitter can reproduce or replace these but the registry pins
-the forms the named schemes are defined with.
+Problems: logistic, cubic, sine, monod (mu = ``MONOD_MU`` = 2), powerlaw
+(``POWERLAW_PARAMS``: a = 1, b = 1, m = 4). Each carries a hand-written
+representation f = f_plus + y*f_minus; the automatic splitter can reproduce
+or replace these but the registry pins the forms the named schemes are
+defined with.
 
 Scheme labels follow the comparison experiments: the "*-printed" variants
 carry the denominators as printed in the source displays (they satisfy the
 negated order-2 condition and integrate at first order); the plain variants
-use derived denominators and integrate at second order. Baselines "euler"
+use derived denominators and integrate at second order. A weighted scheme
+carries its denominator as a rate function (``SchemeBundle.spec``): the
+derived rate unless a printed or constant rate is given. Baselines "euler"
 and "rk2" make no positivity or stability claims.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
-from .denominator import DenominatorSpec, constant_rate, derived_denominator
+from .denominator import constant_rate, derived_denominator
 from .model import (
     Representation,
     ScalarProblem,
@@ -91,7 +95,7 @@ def _monod(mu: float = MONOD_MU) -> ScalarProblem:
     )))
 
 
-def _powerlaw(a: float = 1.0, b: float = 1.0, m: int = 4) -> ScalarProblem:
+def _powerlaw(a: float, b: float, m: int) -> ScalarProblem:
     def exact(t, y0):
         # Bernoulli substitution u = y^{1-m}: u' = (1-m)(a u - b)
         t = np.asarray(t, dtype=float)
@@ -119,7 +123,7 @@ _PROBLEM_FACTORIES = {
     "cubic": _cubic,
     "sine": _sine,
     "monod": _monod,
-    "powerlaw": _powerlaw,
+    "powerlaw": partial(_powerlaw, **POWERLAW_PARAMS),
 }
 
 _PROBLEM_CACHE: dict[str, ScalarProblem] = {}
@@ -143,15 +147,16 @@ class SchemeBundle:
     its name is its registry key, and ``step.label``.
 
     ``rep``/``config``/``spec`` are populated for schemes in the non-local
-    weighted family (enabling the condition checks); step-only baselines
-    leave them None. ``positive``/``elementary_stable`` mark which audits
-    the scheme is claimed to pass.
+    weighted family (enabling the condition checks), ``spec`` being the
+    rate function lam of the denominator h * phim(h * lam(y)); step-only
+    baselines leave them None. ``positive``/``elementary_stable`` mark
+    which audits the scheme is claimed to pass.
     """
 
     step: StepMap
     rep: Optional[Representation] = None
     config: Optional[SchemeConfig] = None
-    spec: Optional[DenominatorSpec] = None
+    spec: Optional[Callable] = None
     positive: bool = False
     elementary_stable: bool = False
 
@@ -161,9 +166,12 @@ def _family_bundle(
     label: str,
     rep: Representation,
     beta: float,
-    spec: DenominatorSpec,
+    spec: Optional[Callable] = None,
 ) -> SchemeBundle:
+    """A weighted scheme with rate function ``spec``, by default the rate
+    derived from ``problem``, ``rep`` and ``beta``."""
     config = SchemeConfig(alpha=1.0 - beta, beta=beta, label=label)
+    spec = derived_denominator(problem, rep, beta) if spec is None else spec
     return SchemeBundle(
         step=nsfd_step_map(problem, rep, config, spec),
         rep=rep,
@@ -178,24 +186,19 @@ def _logistic_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
     rep_linear = Representation(f_plus=lambda y: 2.0 * y, f_minus=lambda y: -y)
     rep_quad = Representation(f_plus=lambda y: 2.0 * y + y * y, f_minus=lambda y: -2.0 * y)
     out = {
-        "snsfd1": _family_bundle(
-            p, "snsfd1", rep_linear, beta=1.25, spec=derived_denominator(p, rep_linear, 1.25)),
-        "snsfd2": _family_bundle(
-            p, "snsfd2", rep_quad, beta=1.25, spec=derived_denominator(p, rep_quad, 1.25)),
+        "snsfd1": _family_bundle(p, "snsfd1", rep_linear, beta=1.25),
+        "snsfd2": _family_bundle(p, "snsfd2", rep_quad, beta=1.25),
         # beta = 1: the derived denominator is the constant (e^{2h} - 1)/2,
         # and the scheme reproduces the exact flow
-        "snsfd3": _family_bundle(
-            p, "snsfd3", rep_linear, beta=1.0, spec=derived_denominator(p, rep_linear, 1.0)),
+        "snsfd3": _family_bundle(p, "snsfd3", rep_linear, beta=1.0),
         "snsfd3-printed": _family_bundle(
-            p, "snsfd3-printed", rep_linear, beta=1.0,
-            spec=constant_rate(2.0, label="(1 - e^{-2h})/2 as printed"),
-        ),
+            p, "snsfd3-printed", rep_linear, beta=1.0, spec=constant_rate(2.0)),
         # branching, first order
         "wood": SchemeBundle(
             step=wood_map(),
             rep=rep_linear,
             config=SchemeConfig(alpha=1.0, beta=0.0, label="wood", validate=False),
-            spec=constant_rate(1.0, label="1 - e^{-h}"),
+            spec=constant_rate(1.0),
             positive=True,
             elementary_stable=True,
         ),
@@ -207,9 +210,8 @@ def _cubic_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
     rep = Representation(f_plus=lambda y: y, f_minus=lambda y: -(y * y))
     return {
         # derived phi = e^h - 1
-        "nsfd": _family_bundle(p, "nsfd", rep, beta=1.5, spec=derived_denominator(p, rep, 1.5)),
-        "nsfd-printed": _family_bundle(
-            p, "nsfd-printed", rep, beta=1.5, spec=constant_rate(1.0, label="1 - e^{-h}")),
+        "nsfd": _family_bundle(p, "nsfd", rep, beta=1.5),
+        "nsfd-printed": _family_bundle(p, "nsfd-printed", rep, beta=1.5, spec=constant_rate(1.0)),
         "mickens": SchemeBundle(step=mickens_cubic_map(), positive=True, elementary_stable=True),
     }
 
@@ -221,12 +223,8 @@ def _sine_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
     )
     printed_lambda = lambda y: np.pi * np.cos(np.pi * y) - 2.0 * np.pi  # noqa: E731
     return {
-        "nsfd": _family_bundle(p, "nsfd", rep, beta=1.0, spec=derived_denominator(p, rep, 1.0)),
-        "nsfd-printed": _family_bundle(
-            p, "nsfd-printed", rep, beta=1.0,
-            spec=DenominatorSpec(lambda_fn=printed_lambda,
-                                 label="lambda = pi cos(pi y) - 2 pi as printed"),
-        ),
+        "nsfd": _family_bundle(p, "nsfd", rep, beta=1.0),
+        "nsfd-printed": _family_bundle(p, "nsfd-printed", rep, beta=1.0, spec=printed_lambda),
         "mickens": SchemeBundle(step=mickens_sine_map(), positive=True, elementary_stable=True),
     }
 
@@ -239,18 +237,11 @@ def _monod_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
     )
     printed_rate = lambda y: (mu + 1.0) * (1.0 + 3.0 * y) / (1.0 + y)  # noqa: E731
     return {
-        "nsfd": _family_bundle(p, "nsfd", rep, beta=1.0, spec=derived_denominator(p, rep, 1.0)),
-        "nsfd-printed": _family_bundle(
-            p, "nsfd-printed", rep, beta=1.0,
-            spec=DenominatorSpec(lambda_fn=printed_rate,
-                                 label="R(y) = (mu+1)(1+3y)/(1+y) as printed"),
-        ),
+        "nsfd": _family_bundle(p, "nsfd", rep, beta=1.0),
+        "nsfd-printed": _family_bundle(p, "nsfd-printed", rep, beta=1.0, spec=printed_rate),
         # Mickens' first-order Monod scheme is this weighted update with a
         # constant rate
-        "mickens": _family_bundle(
-            p, "mickens", rep, beta=1.0,
-            spec=constant_rate(mu - 1.0, label="(1 - e^{-(mu-1)h})/(mu-1)"),
-        ),
+        "mickens": _family_bundle(p, "mickens", rep, beta=1.0, spec=constant_rate(mu - 1.0)),
     }
 
 
@@ -263,11 +254,8 @@ def _powerlaw_bundles(p: ScalarProblem) -> dict[str, SchemeBundle]:
         f_minus=lambda y: -b * (m / 2.0) * np.power(y, m - 1),
     )
     return {
-        "nsfd": _family_bundle(p, "nsfd", rep, beta=1.0, spec=derived_denominator(p, rep, 1.0)),
-        "nsfd-printed": _family_bundle(
-            p, "nsfd-printed", rep, beta=1.0,
-            spec=constant_rate(a, label=f"(1 - e^{{-{a:g}h}})/{a:g} as printed"),
-        ),
+        "nsfd": _family_bundle(p, "nsfd", rep, beta=1.0),
+        "nsfd-printed": _family_bundle(p, "nsfd-printed", rep, beta=1.0, spec=constant_rate(a)),
     }
 
 

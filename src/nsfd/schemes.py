@@ -40,8 +40,9 @@ ufuncs do, while Python's ``**`` on floats rounds differently from
 ``np.power`` (write ``y * y`` or ``np.power(y, m)``).
 
 Each step map is bound once. ``nsfd_step_map`` binds the model callables,
-the weights and the rate; with a rate derived from the step's own problem
-and representation, a step evaluates f, f', f_plus and f_minus once each.
+the weights and the rate function; with a rate derived from the step's own
+problem and representation, a step evaluates f, f', f_plus and f_minus
+once each.
 The Wood-Kojouharov and Mickens cubic and sine maps keep their phi, which
 depends on h alone, in a one-entry memo per map (``_HMemo``) on the float
 path, where h has passed the check; the entry is one ``(h, phi)`` tuple
@@ -67,7 +68,7 @@ from typing import Callable
 
 import numpy as np
 
-from .denominator import DenominatorSpec, check_step, derived_from, derived_rate, phim
+from .denominator import check_step, derived_from, derived_rate, phim
 from .errors import (
     BadHorizon,
     NegativeState,
@@ -175,28 +176,27 @@ def nsfd_step_map(
     problem: ScalarProblem,
     rep: Representation,
     config: SchemeConfig,
-    spec: DenominatorSpec,
-    label: str = "",
+    spec: Callable,
 ) -> StepMap:
-    """The positive nonstandard scheme as a step map, bound once.
+    """The positive nonstandard scheme as a step map, bound once, with
+    denominator h * phim(h * lam(y)) for the rate function ``spec`` (lam).
 
     ``update(y_n, h)`` requires y_n >= 0 (NegativeState, checked first) and
     a finite h > 0 (NonPositiveStep); states with f(y_n) = 0 are returned
-    exactly. When the rate of ``spec`` was derived from this very
-    ``problem`` and ``rep`` (``derived_from``, compared by identity), the
-    step hands its f_minus value to ``derived_rate``; any other rate goes
-    through ``spec.lambda_fn``.
+    exactly. When ``spec`` was derived from this very ``problem`` and
+    ``rep`` (``derived_from``, compared by identity), the step hands its
+    f_minus value to ``derived_rate``; any other rate is called. The map's
+    label is ``config.label``, or "nsfd" for an unlabelled config.
     """
     f, f_plus, f_minus, df = problem.f, rep.f_plus, rep.f_minus, problem.df
     alpha, beta = config.alpha, config.beta
-    rate = spec.lambda_fn
-    source = derived_from(rate)
+    source = derived_from(spec)
     shared = source is not None and source[0] is problem and source[1] is rep
     rate_beta = source[2] if shared else None
 
     def on_floats(y, h):
         fm = float(f_minus(y))
-        lam = derived_rate(float(df(y)), fm, rate_beta) if shared else float(rate(y))
+        lam = derived_rate(float(df(y)), fm, rate_beta) if shared else float(spec(y))
         # f(y) is only compared with zero, so it need not be a Python float
         return weighted_step(y, f(y), h * phim(h * lam), float(f_plus(y)), fm, alpha, beta)
 
@@ -204,11 +204,11 @@ def nsfd_step_map(
         fm = np.asarray(f_minus(y), dtype=float)
         # the rate array is not bound: it is freed before f and f_plus exist
         ph = h * phim(h * (derived_rate(np.asarray(df(y), dtype=float), fm, rate_beta) if shared
-                           else np.asarray(rate(y), dtype=float)))
+                           else np.asarray(spec(y), dtype=float)))
         return weighted_step_array(y, np.asarray(f(y), dtype=float), ph,
                                    np.asarray(f_plus(y), dtype=float), fm, alpha, beta)
 
-    return checked_map(label or config.label or "nsfd", on_floats, on_arrays, positive=True)
+    return checked_map(config.label or "nsfd", on_floats, on_arrays, positive=True)
 
 
 def euler_map(problem: ScalarProblem) -> StepMap:

@@ -28,6 +28,9 @@ from .rootfind import scan_zeros
 ZERO_TOL = 1e-14
 #: guard width for the removable singularity of f(y)/y
 QUOTIENT_GUARD = 1e-8
+#: a representation passes when every sign violation and the relative
+#: reconstruction residual are at or below this
+SPLIT_TOL = 1e-10
 
 N_SAMPLES = 10_000
 
@@ -202,14 +205,13 @@ class SplitReport:
     max_plus_violation: float
     max_minus_violation: float
     max_residual: float
-    tolerance: float = 1e-10
 
     @property
     def passed(self) -> bool:
         return (
-            self.max_plus_violation <= self.tolerance
-            and self.max_minus_violation <= self.tolerance
-            and self.max_residual <= self.tolerance
+            self.max_plus_violation <= SPLIT_TOL
+            and self.max_minus_violation <= SPLIT_TOL
+            and self.max_residual <= SPLIT_TOL
         )
 
     def __str__(self) -> str:

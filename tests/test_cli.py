@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nsfd.cli import main
-from nsfd.denominator import DenominatorSpec, derived_denominator
+from nsfd.denominator import derived_denominator
 from nsfd.model import SchemeConfig
 from nsfd.problems import SchemeBundle, get_scheme
 from nsfd.schemes import nsfd_step_map
@@ -497,14 +497,13 @@ class TestAudit:
         assert main(["audit", "--samples", "8", "--steps", "50", "--scan", "2000"]) == 1
 
     def test_printed_rate_is_not_derived_by_its_label(self, monkeypatch, capsys):
-        # a printed rate misses H3 by design, whatever its label says
+        # a printed rate misses H3 by design, whatever the bundle claims
         import nsfd.cli as cli
 
         b = get_scheme("logistic", "snsfd3-printed")
-        relabelled = replace(b, spec=replace(b.spec, label="underived rate"),
-                             positive=False, elementary_stable=False)
+        printed = replace(b, positive=False, elementary_stable=False)
         monkeypatch.setattr(cli, "problem_names", lambda: ["logistic"])
-        monkeypatch.setattr(cli, "scheme_bundles", lambda name: {"printed": relabelled})
+        monkeypatch.setattr(cli, "scheme_bundles", lambda name: {"printed": printed})
         assert main(["audit", "--samples", "8", "--steps", "50", "--scan", "2000"]) == 0
         assert "[conditions] logistic/printed: fail" in capsys.readouterr().out
 
@@ -513,7 +512,7 @@ class TestAudit:
         import nsfd.cli as cli
 
         p, rep = cli.get_problem("logistic"), get_scheme("logistic", "snsfd1").rep
-        spec = DenominatorSpec(lambda_fn=derived_denominator(p, rep, 1.25).lambda_fn, label="mine")
+        spec = derived_denominator(p, rep, 1.25)
         cfg = SchemeConfig(alpha=0.0, beta=1.0, label="mine")
         mine = SchemeBundle(step=nsfd_step_map(p, rep, cfg, spec), rep=rep, config=cfg, spec=spec)
         monkeypatch.setattr(cli, "problem_names", lambda: ["logistic"])

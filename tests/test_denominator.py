@@ -11,11 +11,9 @@ from nsfd.denominator import (
     ARG_FLOOR,
     H_SAMPLES,
     SERIES_CUTOFF,
-    DenominatorSpec,
     check_H_conditions,
     constant_rate,
     derived_denominator,
-    lambda_from_scheme,
     phi,
     phim,
 )
@@ -96,27 +94,27 @@ class TestPhim:
 class TestLambdaFromScheme:
     def test_logistic_beta_125(self):
         b = get_scheme("logistic", "snsfd1")
-        lam = lambda_from_scheme(get_problem("logistic"), b.rep, 1.25)
+        lam = derived_denominator(get_problem("logistic"), b.rep, 1.25)
         assert float(lam(0.0)) == pytest.approx(-2.0)
         ys = np.linspace(0.0, 10.0, 50)
         np.testing.assert_allclose(lam(ys), -2.0 - 0.5 * ys, rtol=1e-14)
 
     def test_logistic_beta_one_is_constant(self):
         b = get_scheme("logistic", "snsfd1")
-        lam = lambda_from_scheme(get_problem("logistic"), b.rep, 1.0)
+        lam = derived_denominator(get_problem("logistic"), b.rep, 1.0)
         ys = np.linspace(0.0, 10.0, 50)
         np.testing.assert_allclose(lam(ys), -2.0, rtol=1e-14)
 
     def test_cubic_is_constant_minus_one(self):
         b = get_scheme("cubic", "nsfd")
-        lam = lambda_from_scheme(get_problem("cubic"), b.rep, 1.5)
+        lam = derived_denominator(get_problem("cubic"), b.rep, 1.5)
         ys = np.linspace(0.0, 10.0, 50)
         np.testing.assert_allclose(lam(ys), -1.0, atol=1e-13)
 
 
 class TestPhi:
     def test_zero_rate_gives_h(self):
-        spec = DenominatorSpec(lambda_fn=lambda y: 0.0 * np.asarray(y, float))
+        spec = lambda y: 0.0 * np.asarray(y, float)  # noqa: E731
         assert float(phi(spec, 0.3, 1.0)) == pytest.approx(0.3, rel=1e-15)
 
     def test_exact_logistic_denominator(self):
@@ -184,7 +182,7 @@ class TestSecondDerivativeProperty:
         assert len(specs) == 14
         for p, label, spec in specs:
             for y in (0.0, 0.5, 2.0, 5.0, 10.0):
-                lam = float(spec.lambda_fn(y))
+                lam = float(spec(y))
                 est = second_h_derivative_at_zero(spec, y, lam)
                 assert est == pytest.approx(-lam, rel=1e-4, abs=1e-8), (p, label, y)
 
@@ -206,10 +204,10 @@ class TestCheckHConditions:
         # snsfd1's derived rate -f' + 2*beta*f_minus, written out by hand;
         # the two forms differ by rounding only
         b = get_scheme("logistic", "snsfd1")
-        spec = DenominatorSpec(lambda_fn=lambda y: -2.0 - 0.5 * np.asarray(y, float))
+        spec = lambda y: -2.0 - 0.5 * np.asarray(y, float)  # noqa: E731
         report = check_H_conditions(get_problem("logistic"), b.rep, b.config, spec)
         assert report.h3, str(report)
-        off = DenominatorSpec(lambda_fn=lambda y: -2.0 - 0.5 * (1.0 + 1e-9) * np.asarray(y, float))
+        off = lambda y: -2.0 - 0.5 * (1.0 + 1e-9) * np.asarray(y, float)  # noqa: E731
         assert not check_H_conditions(get_problem("logistic"), b.rep, b.config, off).h3
 
     def test_half_half_weights_fail_h4(self):
@@ -259,7 +257,7 @@ class TestCheckHConditions:
 
     def test_non_finite_rate_fails_h1(self):
         b = get_scheme("logistic", "snsfd1")
-        spec = DenominatorSpec(lambda_fn=lambda y: np.where(np.asarray(y) > 5.0, np.inf, -2.0))
+        spec = lambda y: np.where(np.asarray(y) > 5.0, np.inf, -2.0)  # noqa: E731
         report = check_H_conditions(get_problem("logistic"), b.rep, b.config, spec)
         assert not report.h1
         assert any(w.startswith("H1: lam(y) = inf is not finite at y = 5.05") for w in report.witnesses)
@@ -351,15 +349,9 @@ class TestClosedFormsAgainstSampling:
                 failing += 1
                 y_star = problem.stable_equilibria[0].y_star
                 bracket = 2.0 * config.beta * float(rep.f_minus(y_star)) - problem.df(y_star)
-                lam = mp.mpf(float(spec.lambda_fn(y_star)))
+                lam = mp.mpf(float(spec(y_star)))
                 h = mp.mpf(re.search(r"h >= (\S+)", note).group(1))
                 ph = h if lam == 0 else -mp.expm1(-h * lam) / lam
                 assert float(ph * bracket) == pytest.approx(2.0, rel=1e-5), note
         assert failing == 3  # logistic/wood and the two weights above
-
-
-def test_derived_denominator_labels():
-    spec = derived_denominator(get_problem("logistic"),
-                               get_scheme("logistic", "snsfd1").rep, 1.25)
-    assert "derived" in spec.label
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsfd.denominator import ARG_FLOOR, SERIES_CUTOFF, DenominatorSpec, derived_from, phi
+from nsfd.denominator import ARG_FLOOR, SERIES_CUTOFF, derived_from, phi
 from nsfd.errors import NegativeState, NonPositiveStep, NsfdError
 from nsfd.problems import get_problem, problem_names, scheme_bundles
 from nsfd.schemes import nsfd_step_map
@@ -74,7 +74,7 @@ SERIES_POINT, FLOOR_POINT = (0.5, 1e-7), (1e3, 100.0)
 
 
 def test_examples_reach_kernel_branches():
-    lam = scheme_bundles("logistic")["snsfd1"].spec.lambda_fn
+    lam = scheme_bundles("logistic")["snsfd1"].spec
     assert abs(SERIES_POINT[1] * lam(SERIES_POINT[0])) < SERIES_CUTOFF
     assert FLOOR_POINT[1] * lam(FLOOR_POINT[0]) < ARG_FLOOR
 
@@ -164,10 +164,10 @@ bad_steps = st.one_of(
 VIA_LAMBDA_FN = {
     f"{pname}/{label} via lambda_fn": nsfd_step_map(
         get_problem(pname), b.rep, b.config,
-        DenominatorSpec(lambda_fn=lambda y, lam=b.spec.lambda_fn: lam(y))).update
+        lambda y, lam=b.spec: lam(y)).update
     for pname in problem_names()
     for label, b in scheme_bundles(pname).items()
-    if b.spec is not None and derived_from(b.spec.lambda_fn) is not None
+    if b.spec is not None and derived_from(b.spec) is not None
 }
 
 #: every scalar step: the float-path cases, all Euler/RK2 baselines, and the

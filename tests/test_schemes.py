@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsfd.denominator import DenominatorSpec, constant_rate, derived_denominator, derived_from
+from nsfd.denominator import constant_rate, derived_denominator, derived_from
 from nsfd.errors import (
     BadHorizon,
     NegativeState,
@@ -136,7 +136,7 @@ def _counted_records(problem, rep, calls: Counter):
 #: registry bundles whose denominator is derived from their own records
 DERIVED_BUNDLES = sorted(f"{p}/{label}" for p in problem_names()
                          for label, b in scheme_bundles(p).items()
-                         if b.spec is not None and derived_from(b.spec.lambda_fn) is not None)
+                         if b.spec is not None and derived_from(b.spec) is not None)
 
 
 @pytest.mark.parametrize("name", DERIVED_BUNDLES)
@@ -144,7 +144,7 @@ def test_derived_float_step_calls_each_callable_once(name):
     # the rate shares the update's f_minus value: one call of each callable
     pname, label = name.split("/")
     problem, b = get_problem(pname), get_scheme(pname, label)
-    source = derived_from(b.spec.lambda_fn)
+    source = derived_from(b.spec)
     assert source[0] is problem and source[1] is b.rep and source[2] == b.config.beta
     calls = Counter()
     p, rep = _counted_records(problem, b.rep, calls)
@@ -168,11 +168,11 @@ def test_other_rates_go_through_lambda_fn():
     problem, b = get_problem("logistic"), get_scheme("logistic", "snsfd1")
     calls = Counter()
     p, rep = _counted_records(problem, b.rep, calls)
-    derived = derived_denominator(p, rep, 1.25).lambda_fn
+    derived = derived_denominator(p, rep, 1.25)
     specs = {
         "another rep": derived_denominator(p, replace(rep), 1.25),
         "another problem": derived_denominator(replace(p), rep, 1.25),
-        "hand-written": DenominatorSpec(lambda_fn=_counted(calls, "lambda_fn", derived)),
+        "hand-written": _counted(calls, "lambda_fn", derived),
     }
     for name, spec in specs.items():
         step = nsfd_step_map(p, rep, b.config, spec)

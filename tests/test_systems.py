@@ -586,7 +586,7 @@ class TestSecondOrderDenominators:
             jacobian=lambda s, v: (2.0 - 2.0 * np.asarray(s, float)) * np.asarray(v, float),
         )
         betas = second_order_config(sys1).betas
-        scalar_lam = b.spec.lambda_fn
+        scalar_lam = b.spec
         for y in (0.1, 0.5, 1.5, 3.0, 9.0):
             s = np.array([y])
             got = float(second_order_rates(sys1.F(s), sys1.jacobian(s, sys1.F(s)),
