@@ -30,7 +30,7 @@ from .systems import (
     integrate_system,
     second_order_config,
     second_order_rates,
-    system_nsfd_step,
+    system_step_map,
 )
 
 __version__ = "0.1.0"
@@ -44,6 +44,6 @@ __all__ = [
     "SplitBounds", "compute_bounds", "find_zeros", "lemma1_split", "theorem1_split",
     "validate_representation",
     "SystemProblem", "SystemSchemeConfig", "get_system", "integrate_system",
-    "second_order_config", "second_order_rates", "system_nsfd_step",
+    "second_order_config", "second_order_rates", "system_step_map",
     "__version__",
 ]

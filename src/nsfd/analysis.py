@@ -26,15 +26,19 @@ def error_at_final(traj: Trajectory, reference) -> float:
     """Absolute error at the final time against a reference.
 
     ``reference`` may be another Trajectory on the same grid, a callable
-    y(t), or a number (the reference state at the final time).
+    y(t), or a number (the reference state at the final time). Two uniform
+    grids from t = 0 with the same number of points are the same grid to
+    1e-12 * (1 + |T|) iff their final times T are: max_k |k*h - k*h'| is
+    |T - T'|.
     """
     if isinstance(reference, Trajectory):
-        if len(reference.times) != len(traj.times) or not np.allclose(
-            reference.times, traj.times, rtol=0.0, atol=1e-12 * (1.0 + abs(traj.final_time))
+        T = traj.final_time
+        if len(reference.states) != len(traj.states) or not (
+            abs(reference.final_time - T) <= 1e-12 * (1.0 + abs(T))
         ):
             raise GridMismatch(
-                f"reference grid ({len(reference.times)} pts, T = {reference.final_time}) "
-                f"does not match trajectory grid ({len(traj.times)} pts, T = {traj.final_time})"
+                f"reference grid ({len(reference.states)} pts, T = {reference.final_time}) "
+                f"does not match trajectory grid ({len(traj.states)} pts, T = {T})"
             )
         ref_val = reference.states[-1]
     elif callable(reference):

@@ -147,11 +147,10 @@ def phi(spec: Callable, h, y):
     """Evaluate the denominator h * phim(h * spec(y)) of the rate function
     ``spec`` (lam) at step size h > 0 and state y.
 
-    ``h`` may be an array broadcastable against ``y`` (used by batched
-    property audits where every trajectory carries its own step size). The
-    result broadcasts against ``y``: a constant rate with a scalar ``h``
-    gives one value for every ``y``. Raises NonPositiveStep unless every h
-    is finite and > 0. No step calls it.
+    The result broadcasts against ``y``: a constant rate gives one value
+    for every ``y``. Raises NonPositiveStep unless h is finite and > 0. No
+    step calls it; its caller in the package is
+    ``elementary_stability_audit``, with a float h.
     """
     check_step(h)
     return h * phim(h * np.asarray(spec(y), dtype=float))

@@ -173,41 +173,28 @@ class SchemeConfig:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Uniform-grid numerical solution with provenance metadata.
+    """Numerical solution on the uniform grid t_k = k*h, with provenance
+    metadata: row k of ``states`` is the state at t_k.
 
     ``states`` has shape (n,) for scalar problems or (n, dim) for systems.
     """
 
-    times: np.ndarray
     states: np.ndarray
     scheme_label: str
     problem_name: str
     h: float
 
     def __post_init__(self):
-        t, s = np.asarray(self.times, float), np.asarray(self.states, float)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", s)
-        if len(t) != len(s):
-            raise ValueError(f"times/states length mismatch: {len(t)} vs {len(s)}")
-        if len(t) > 1:
-            # |diff(t) - h| against 1e-14 * (|t[1:]| + h), built in place so
-            # the check holds two grid-sized arrays; the tolerance scales with
-            # the local time magnitude: k*h rounds to ulp(k*h)
-            gap = np.diff(t)
-            gap -= self.h
-            np.abs(gap, out=gap)
-            tol = np.abs(t[1:])
-            tol += self.h
-            tol *= 1e-14
-            if np.any(gap > tol):
-                k = int(np.argmax(gap))
-                raise ValueError(f"non-uniform spacing at index {k}: {t[k + 1] - t[k]!r} "
-                                 f"vs h = {self.h!r}")
+        object.__setattr__(self, "states", np.asarray(self.states, float))
+
+    @property
+    def times(self) -> np.ndarray:
+        """The grid t_k = k*h, one time per state, built on each call."""
+        return np.arange(len(self.states), dtype=float) * self.h
 
     @property
     def final_time(self) -> float:
-        return float(self.times[-1])
+        return float(len(self.states) - 1) * self.h
 
     @property
     def final_state(self):

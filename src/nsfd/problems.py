@@ -18,7 +18,7 @@ and "rk2" make no positivity or stability claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -126,15 +126,14 @@ _PROBLEM_FACTORIES = {
     "powerlaw": partial(_powerlaw, **POWERLAW_PARAMS),
 }
 
-_PROBLEM_CACHE: dict[str, ScalarProblem] = {}
 
-
+@cache
 def get_problem(name: str) -> ScalarProblem:
+    """The registry problem ``name``, built once: every call returns the
+    same record."""
     if name not in _PROBLEM_FACTORIES:
         raise KeyError(f"unknown problem {name!r}; choose from {sorted(_PROBLEM_FACTORIES)}")
-    if name not in _PROBLEM_CACHE:
-        _PROBLEM_CACHE[name] = _PROBLEM_FACTORIES[name]()
-    return _PROBLEM_CACHE[name]
+    return _PROBLEM_FACTORIES[name]()
 
 
 def problem_names() -> list[str]:
@@ -267,18 +266,15 @@ _BUNDLE_FACTORIES = {
     "powerlaw": _powerlaw_bundles,
 }
 
-_BUNDLE_CACHE: dict[str, dict[str, SchemeBundle]] = {}
 
-
+@cache
 def scheme_bundles(problem_name: str) -> dict[str, SchemeBundle]:
-    """All named schemes for a problem, baselines included."""
+    """All named schemes for a problem, baselines included, built once."""
     p = get_problem(problem_name)
-    if problem_name not in _BUNDLE_CACHE:
-        bundles = _BUNDLE_FACTORIES[problem_name](p)
-        bundles["euler"] = SchemeBundle(step=euler_map(p))
-        bundles["rk2"] = SchemeBundle(step=rk2_map(p))
-        _BUNDLE_CACHE[problem_name] = bundles
-    return _BUNDLE_CACHE[problem_name]
+    bundles = _BUNDLE_FACTORIES[problem_name](p)
+    bundles["euler"] = SchemeBundle(step=euler_map(p))
+    bundles["rk2"] = SchemeBundle(step=rk2_map(p))
+    return bundles
 
 
 def get_scheme(problem_name: str, label: str) -> SchemeBundle:

@@ -63,7 +63,7 @@ import linecache
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -80,9 +80,8 @@ from .model import Representation, ScalarProblem, SchemeConfig, Trajectory
 
 MAX_STEPS = 100_000_000
 
-#: ``integrate`` stores a carried float or tuple state in blocks of about
-#: this many floats: one array built per block, where numpy would parse
-#: every row
+#: ``integrate`` stores the carried states in blocks of about this many
+#: floats: one array built per block, where numpy would parse every row
 FOLD_BLOCK_FLOATS = 4096
 
 
@@ -93,7 +92,9 @@ class StepMap:
     ``update`` must be deterministic and vectorized over the state argument,
     lane by lane: for a batch of states (scalars, or system states along the
     last axis) with one step size each, lane i of ``update(y, h)`` depends
-    only on ``(y[i], h[i])``, bit for bit, whatever the other lanes are.
+    only on ``(y[i], h[i])``, bit for bit, whatever the other lanes are. It
+    returns a new state and leaves its argument unchanged: ``integrate``
+    keeps the states it returns until it writes them a block at a time.
     """
 
     label: str
@@ -308,11 +309,13 @@ def integrate(
 
     The state is carried in the type it starts in: a float start as a
     Python float, a flat tuple start (one system state) as a tuple of
-    Python floats, anything else as a float array. So a step map with a
-    float path runs every step on it without converting the state. A
-    carried state is stored a block of rows at a time, about
-    ``FOLD_BLOCK_FLOATS`` floats each: the rows are collected in one flat
-    list and written as one array, so numpy does not parse a row per step.
+    Python floats, anything else (lanes, or one system state as an array)
+    as a float array. So a step map with a float path runs every step on it
+    without converting the state. Every carried state is stored a block of
+    rows at a time, about ``FOLD_BLOCK_FLOATS`` floats each: the rows are
+    collected in one list (a tuple's components flat) and written as one
+    array, so numpy does not parse a row per step. The trajectory is its step size and its
+    states; its times are the grid t_k = k*h.
     """
     check_step(h)
     h = float(h)  # a numpy-scalar h once, so that every step can take a float path
@@ -334,30 +337,22 @@ def integrate(
     start = np.asarray(y0, dtype=float)
     states = np.empty((n + 1,) + start.shape, dtype=float)
     states[0] = start
-    if start.ndim == 0 or (start.ndim == 1 and isinstance(y0, tuple)):
-        y = float(start) if start.ndim == 0 else tuple(start.tolist())
-        flat: list = []
-        store = flat.append if start.ndim == 0 else flat.extend
-        rows = max(1, FOLD_BLOCK_FLOATS // max(1, start.size))
-        for first in range(1, n + 1, rows):
-            last = min(first + rows, n + 1)
-            for _ in range(first, last):
-                y = update(y, h)
-                store(y)
-            states[first:last] = np.array(flat, dtype=float).reshape((last - first,) + start.shape)
-            flat.clear()
-    else:
-        y = start
-        for k in range(n):
+    y = start
+    if start.ndim == 0:
+        y = float(start)
+    elif start.ndim == 1 and isinstance(y0, tuple):
+        y = tuple(start.tolist())
+    flat: list = []
+    store = flat.extend if type(y) is tuple else flat.append
+    rows = max(1, FOLD_BLOCK_FLOATS // max(1, start.size))
+    for first in range(1, n + 1, rows):
+        last = min(first + rows, n + 1)
+        for _ in range(first, last):
             y = update(y, h)
-            states[k + 1] = y
-    return Trajectory(
-        times=np.arange(n + 1, dtype=float) * h,
-        states=states,
-        scheme_label=step.label,
-        problem_name=problem_name,
-        h=h,
-    )
+            store(y)
+        states[first:last] = np.array(flat, dtype=float).reshape((last - first,) + start.shape)
+        flat.clear()
+    return Trajectory(states=states, scheme_label=step.label, problem_name=problem_name, h=h)
 
 
 def rk4(F: Callable, y0: tuple, t_end: float, n: int) -> tuple:
@@ -370,7 +365,7 @@ def rk4(F: Callable, y0: tuple, t_end: float, n: int) -> tuple:
     return _rk4_loop(len(y0))(F, y0, t_end, n)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _rk4_loop(dim: int) -> Callable:
     """The ``rk4`` loop for states of ``dim`` components, generated once per
     dim. Every component is a local and every stage is written out
@@ -440,18 +435,17 @@ def reference_solution(
 
 
 def reference_value(problem: ScalarProblem, y0: float, t_end: float) -> float:
-    """Reference state at a single final time (cached closed form when
-    available, otherwise the fourth-order oracle over the whole span)."""
+    """Reference state at a single final time (the closed form when
+    available, otherwise the cached fourth-order oracle over the whole span)."""
     if problem.exact_solution is not None:
         return float(problem.exact_solution(t_end, y0))
+    return _oracle_value(problem, float(y0), float(t_end))
+
+
+@cache
+def _oracle_value(problem: ScalarProblem, y0: float, t_end: float) -> float:
     # keyed by the record, not its name: a re-parameterised problem keeps
     # its name but has its own flow
-    key = (problem, float(y0), float(t_end))
-    if key not in _REFERENCE_CACHE:
-        traj = reference_solution(problem, y0, h_out=t_end, t_end=t_end, substeps=4000)
-        _REFERENCE_CACHE[key] = float(traj.states[-1])
-    return _REFERENCE_CACHE[key]
-
-
-_REFERENCE_CACHE: dict = {}
+    return float(reference_solution(problem, y0, h_out=t_end, t_end=t_end,
+                                    substeps=4000).states[-1])
 

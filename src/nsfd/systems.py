@@ -166,11 +166,6 @@ def _states(sys: SystemProblem, state) -> np.ndarray:
     return s
 
 
-def system_nsfd_step(sys: SystemProblem, cfg: SystemSchemeConfig, state, h):
-    """One explicit componentwise step: ``system_step_map(sys, cfg).update``."""
-    return system_step_map(sys, cfg).update(state, h)
-
-
 def system_step_map(sys: SystemProblem, cfg: SystemSchemeConfig) -> StepMap:
     """The componentwise scheme as a step map, bound once: the model
     callables, the (alpha_i, beta_i) pairs and the order flag.

@@ -18,7 +18,7 @@ import numpy as np
 
 from nsfd.denominator import check_step
 from nsfd.schemes import StepMap
-from nsfd.systems import SystemProblem, SystemSchemeConfig, system_nsfd_step
+from nsfd.systems import SystemProblem, SystemSchemeConfig, system_step_map
 
 
 #: the box that seeded test states of the registry systems are sampled
@@ -35,7 +35,7 @@ def on_lanes(fn: Callable, *arrays) -> np.ndarray:
 
 
 def euler_system_map(sys: SystemProblem) -> StepMap:
-    """Explicit Euler control; like ``system_nsfd_step`` it takes one step
+    """Explicit Euler control; like ``system_step_map`` it takes one step
     size for all states or one per state (``h`` of shape (...,)), each
     finite and > 0 (NonPositiveStep otherwise)."""
 
@@ -65,15 +65,15 @@ def rk4_reference(F: Callable, y0: tuple, t_end: float, n: int) -> tuple:
     return y
 
 
-def step_map_jacobian(sys: SystemProblem, cfg: SystemSchemeConfig, state, h: float,
-                      eps: float = 1e-7) -> np.ndarray:
-    """Central-difference Jacobian of the one-step map at ``state``."""
+def step_map_jacobian(update: Callable, state, h: float, eps: float = 1e-7) -> np.ndarray:
+    """Central-difference Jacobian at ``state`` of the one-step map whose
+    ``StepMap.update`` is ``update``."""
     s = np.asarray(state, dtype=float)
-    J = np.empty((sys.dim, sys.dim))
-    for j in range(sys.dim):
-        e = np.zeros(sys.dim)
+    J = np.empty((len(s), len(s)))
+    for j in range(len(s)):
+        e = np.zeros(len(s))
         e[j] = eps * max(1.0, abs(s[j]))
-        J[:, j] = (system_nsfd_step(sys, cfg, s + e, h) - system_nsfd_step(sys, cfg, s - e, h)) / (2 * e[j])
+        J[:, j] = (update(s + e, h) - update(s - e, h)) / (2 * e[j])
     return J
 
 
@@ -100,8 +100,9 @@ def stability_thresholds(
     eigenvector aligns best with the tangent.
     """
     rows = []
+    update = system_step_map(sys, cfg).update
     for h in h_grid:
-        J = step_map_jacobian(sys, cfg, equilibrium, float(h))
+        J = step_map_jacobian(update, equilibrium, float(h))
         vals, vecs = np.linalg.eig(J)
         rho_full = float(np.max(np.abs(vals)))
         if fixed_line_tangent is None:

@@ -26,8 +26,7 @@ mp.mp.dps = 50
 
 def _traj(states, h=1.0):
     states = np.asarray(states, dtype=float)
-    return Trajectory(times=np.arange(len(states)) * h, states=states,
-                      scheme_label="t", problem_name="p", h=h)
+    return Trajectory(states=states, scheme_label="t", problem_name="p", h=h)
 
 
 class TestErrorAtFinal:

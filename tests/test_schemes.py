@@ -23,6 +23,7 @@ from nsfd.model import Representation, ScalarProblem, SchemeConfig, register_pro
 from nsfd.problems import _monod, _powerlaw, get_problem, get_scheme, problem_names, scheme_bundles
 from nsfd.schemes import (
     FOLD_BLOCK_FLOATS,
+    StepMap,
     euler_map,
     integrate,
     mickens_cubic_map,
@@ -451,16 +452,35 @@ class TestIntegrate:
             assert traj.states.tolist() == [0.5]
 
     def test_float_rows_stored_in_blocks(self):
-        # the rows integrate writes a block at a time are the carried floats,
-        # on both sides of a block boundary
-        step = get_scheme("logistic", "snsfd1").step
+        # the rows integrate writes a block at a time are the carried states,
+        # on both sides of a block boundary: a float start and a tuple start
+        # (one lv state) against the same start stepped by hand, and 3-lane
+        # array starts, each lane against its float start's run
+        lv = get_system("lv")
+        snsfd1, wood = get_scheme("logistic", "snsfd1").step, get_scheme("logistic", "wood").step
+        by_hand = [(snsfd1, 0.5), (system_step_map(lv, second_order_config(lv)), (2.0, 0.5))]
+        lanes = np.array([0.5, 1.5, 3.0])
         for n in (0, 1, FOLD_BLOCK_FLOATS - 1, FOLD_BLOCK_FLOATS, FOLD_BLOCK_FLOATS + 1):
-            y, rows = 0.5, [0.5]
-            for _ in range(n):
-                y = step.update(y, 1e-3)
-                rows.append(y)
-            traj = integrate(step, 0.5, 1e-3, n * 1e-3)
-            assert traj.states.tobytes() == np.array(rows).tobytes(), n
+            for step, y0 in by_hand:
+                y, rows = y0, [y0]
+                for _ in range(n):
+                    y = step.update(y, 1e-3)
+                    rows.append(y)
+                traj = integrate(step, y0, 1e-3, n * 1e-3)
+                assert traj.states.tobytes() == np.array(rows).tobytes(), (step.label, n)
+            for step in (snsfd1, wood):
+                traj = integrate(step, lanes, 1e-3, n * 1e-3)
+                assert traj.states.shape == (n + 1, len(lanes))
+                for i, y0 in enumerate(lanes.tolist()):
+                    run = integrate(step, y0, 1e-3, n * 1e-3)
+                    assert traj.states[:, i].tobytes() == run.states.tobytes(), (step.label, n, i)
+
+    def test_times_are_the_uniform_grid(self):
+        # the grid k*h itself, at 10^5 steps where k*h rounds to ulp(k*h)
+        h, n = 0.1, 100_000
+        traj = integrate(StepMap("identity", lambda y, h: y), 0.5, h, n * h)
+        assert traj.times.tobytes() == (np.arange(n + 1, dtype=float) * h).tobytes()
+        assert traj.final_time == traj.times[-1]
 
     def test_determinism(self):
         b = get_scheme("logistic", "snsfd2")

@@ -26,7 +26,6 @@ from nsfd.systems import (
     second_order_config,
     second_order_rates,
     sirs,
-    system_nsfd_step,
     system_step_map,
 )
 from system_helpers import BOX, euler_system_map, on_lanes, rk4_reference, stability_thresholds
@@ -38,40 +37,40 @@ class TestSystemStep:
         #   x1 = (2 + 0.5*2*1)/(1 + 0.5*0.5) = 2.4
         #   y1 = (0.5 + 0.5*0.5*2)/(1 + 0.5*1) = 2/3
         lv = get_system("lv")
-        out = system_nsfd_step(lv, plain_config(lv), np.array([2.0, 0.5]), 0.5)
+        out = system_step_map(lv, plain_config(lv)).update(np.array([2.0, 0.5]), 0.5)
         assert out[0] == pytest.approx(2.4, rel=1e-15)
         assert out[1] == pytest.approx(2.0 / 3.0, rel=1e-15)
 
     @pytest.mark.parametrize("h", [0.1, 1.0, 50.0])
     def test_lv_coexistence_fixed(self, h):
         lv = get_system("lv")
-        out = system_nsfd_step(lv, second_order_config(lv), np.array([1.0, 1.0]), h)
+        out = system_step_map(lv, second_order_config(lv)).update(np.array([1.0, 1.0]), h)
         np.testing.assert_array_equal(out, [1.0, 1.0])
 
     @pytest.mark.parametrize("h", [0.1, 2.0, 40.0])
     def test_sirs_disease_free_state_fixed(self, h):
         s = get_system("sirs")
-        out = system_nsfd_step(s, second_order_config(s), np.array([0.7, 0.0, 0.0]), h)
+        out = system_step_map(s, second_order_config(s)).update(np.array([0.7, 0.0, 0.0]), h)
         np.testing.assert_array_equal(out, [0.7, 0.0, 0.0])
 
     def test_negative_state_rejected(self):
         lv = get_system("lv")
         with pytest.raises(NegativeState):
-            system_nsfd_step(lv, plain_config(lv), np.array([1.0, -0.1]), 0.5)
+            system_step_map(lv, plain_config(lv)).update(np.array([1.0, -0.1]), 0.5)
 
     @pytest.mark.parametrize("name", ["lv", "sirs"])
     @pytest.mark.parametrize("order2", [True, False])
     def test_minus_inf_component_rejected(self, name, order2):
         # -inf is negative: refused on the float path and in a lane
         system = get_system(name)
-        cfg = _config(system, order2)
+        update = system_step_map(system, _config(system, order2)).update
         for i in range(system.dim):
             state = list(DEFAULT_STARTS[name])
             state[i] = -math.inf
             with pytest.raises(NegativeState):
-                system_nsfd_step(system, cfg, tuple(state), 0.1)
+                update(tuple(state), 0.1)
             with pytest.raises(NegativeState):
-                system_nsfd_step(system, cfg, np.array([state]), 0.1)
+                update(np.array([state]), 0.1)
 
     def test_zero_start_stays_zero(self):
         lv = get_system("lv")
@@ -82,9 +81,10 @@ class TestSystemStep:
         lv = get_system("lv")
         cfg = second_order_config(lv)
         batch = np.array([[2.0, 0.5], [1.0, 1.0], [0.3, 4.0]])
-        out = system_nsfd_step(lv, cfg, batch, 0.7)
+        update = system_step_map(lv, cfg).update
+        out = update(batch, 0.7)
         for i, s in enumerate(batch):
-            np.testing.assert_allclose(out[i], system_nsfd_step(lv, cfg, s, 0.7), rtol=1e-15)
+            np.testing.assert_allclose(out[i], update(s, 0.7), rtol=1e-15)
 
 
 def _config(system, order2):
@@ -106,14 +106,15 @@ class TestStepContract:
         # at an equilibrium too, where the step would otherwise return the state
         system = get_system(name)
         cfg = _config(system, order2)
+        update = system_step_map(system, cfg).update
         state = system.equilibria[-1] if at_equilibrium else np.array(DEFAULT_STARTS[name])
         with pytest.raises(NonPositiveStep):
-            system_nsfd_step(system, cfg, state, h)
+            update(state, h)
         # lanes with per-lane step sizes, one of them bad
         hs = np.full(n_lanes, 0.1)
         hs[data.draw(st.integers(0, n_lanes - 1))] = h
         with pytest.raises(NonPositiveStep):
-            system_nsfd_step(system, cfg, np.tile(state, (n_lanes, 1)), hs)
+            update(np.tile(state, (n_lanes, 1)), hs)
 
     @settings(max_examples=100, deadline=None)
     @given(name=st.sampled_from(["lv", "sirs"]), h=bad_steps, n_lanes=st.integers(1, 8),
@@ -134,9 +135,10 @@ class TestStepContract:
         cfg = _config(lv, order2)
         batch = np.array([[2.0, 0.5], [1.0, 1.0], [0.3, 4.0]])
         hs = np.array([0.05, 0.7, 30.0])
-        out = system_nsfd_step(lv, cfg, batch, hs)
+        update = system_step_map(lv, cfg).update
+        out = update(batch, hs)
         for s, h, row in zip(batch, hs, out):
-            np.testing.assert_array_equal(row, system_nsfd_step(lv, cfg, s, h))
+            np.testing.assert_array_equal(row, update(s, h))
 
     @pytest.mark.parametrize("name", ["lv", "sirs"])
     @pytest.mark.parametrize("order2", [True, False])
@@ -156,7 +158,7 @@ class TestStepContract:
                          rep=rep)
         cfg = _config(system, order2)
         integrate_system(system, cfg, DEFAULT_STARTS[name], 0.1, 1.0)
-        system_nsfd_step(system, cfg, np.tile(DEFAULT_STARTS[name], (5, 1)), 0.1)
+        system_step_map(system, cfg).update(np.tile(DEFAULT_STARTS[name], (5, 1)), 0.1)
         assert calls == {"F": 11, "J": 11 if order2 else 0, "f_plus": 11, "f_minus": 11}
 
 
@@ -171,12 +173,12 @@ class TestDimensionMismatch:
     @pytest.mark.parametrize("order2", [True, False])
     def test_step_names_the_dimension(self, state, order2):
         lv = get_system("lv")
-        cfg = _config(lv, order2)
+        update = system_step_map(lv, _config(lv, order2)).update
         with pytest.raises(DimensionMismatch, match="lv has dim = 2"):
-            system_nsfd_step(lv, cfg, state, 0.1)
+            update(state, 0.1)
         # per-lane step sizes, one per lane the state would have
         with pytest.raises(DimensionMismatch, match="lv has dim = 2"):
-            system_step_map(lv, cfg).update(state, np.full(np.shape(state)[:-1], 0.1))
+            update(state, np.full(np.shape(state)[:-1], 0.1))
 
     @pytest.mark.parametrize("state", WRONG_DIM_STATES)
     def test_integrate_system_names_the_dimension(self, state):
@@ -238,9 +240,9 @@ class TestFloatPath:
     def test_float_path_is_bit_identical_to_one_lane_array_path(self, case, order2, h):
         name, state = case
         system = get_system(name)
-        cfg = _config(system, order2)
-        out = system_nsfd_step(system, cfg, state, h)
-        lane = system_nsfd_step(system, cfg, state[None, :], h)[0]
+        update = system_step_map(system, _config(system, order2)).update
+        out = update(state, h)
+        lane = update(state[None, :], h)[0]
         assert isinstance(out, np.ndarray) and out.shape == (system.dim,)
         assert _bits(out) == _bits(lane)
 
@@ -250,11 +252,12 @@ class TestFloatPath:
         # whole runs, where a last-bit difference in a rate would show
         system = get_system(name)
         cfg = _config(system, order2)
+        update = system_step_map(system, cfg).update
         for h in (0.05, 0.7, 1.0, 5.0):
             traj = integrate_system(system, cfg, DEFAULT_STARTS[name], h, 200 * h)
             lane = np.array([DEFAULT_STARTS[name]], dtype=float)
             for state in traj.states[1:]:
-                lane = system_nsfd_step(system, cfg, lane, h)
+                lane = update(lane, h)
                 assert _bits(state) == _bits(lane[0]), h
 
     def test_cases_reach_the_delicate_branches(self):
@@ -280,7 +283,7 @@ class TestFloatPath:
         # a negative component, -inf included, raises NegativeState; inf and
         # nan pass the guard on both paths and give the same inf/nan bits
         system = get_system(name)
-        cfg = _config(system, order2)
+        update = system_step_map(system, _config(system, order2)).update
         state = np.array(DEFAULT_STARTS[name], dtype=float)
         if odd is not None:
             state[data.draw(st.integers(0, system.dim - 1))] = odd
@@ -288,7 +291,7 @@ class TestFloatPath:
         def outcome(x):
             try:
                 with np.errstate(all="ignore"):
-                    return _bits(system_nsfd_step(system, cfg, x, h))
+                    return _bits(update(x, h))
             except (NegativeState, NonPositiveStep) as exc:
                 return type(exc)
 
@@ -302,13 +305,13 @@ class TestFloatPath:
     @pytest.mark.parametrize("order2", [True, False])
     def test_nan_lane_does_not_hide_a_negative_one(self, order2):
         lv = get_system("lv")
-        cfg = _config(lv, order2)
+        update = system_step_map(lv, _config(lv, order2)).update
         lanes = np.array([[np.nan, 1.0], [2.0, 0.5], [1.0, -0.25]])
         with pytest.raises(NegativeState):
-            system_nsfd_step(lv, cfg, lanes, np.array([0.1, 0.2, 0.3]))
+            update(lanes, np.array([0.1, 0.2, 0.3]))
         lanes[2, 1] = -math.inf  # -inf is negative too
         with pytest.raises(NegativeState):
-            system_nsfd_step(lv, cfg, lanes, np.array([0.1, 0.2, 0.3]))
+            update(lanes, np.array([0.1, 0.2, 0.3]))
 
     @pytest.mark.parametrize("name", ["lv", "sirs"])
     @pytest.mark.parametrize("order2", [True, False])
@@ -326,7 +329,7 @@ class TestFloatPath:
                              f_minus=logged("f_minus", base.rep.f_minus))
         system = replace(base, F=logged("F", base.F), jacobian=logged("J", base.jacobian),
                          rep=rep)
-        system_nsfd_step(system, _config(system, order2), np.array(DEFAULT_STARTS[name]), 0.1)
+        system_step_map(system, _config(system, order2)).update(np.array(DEFAULT_STARTS[name]), 0.1)
         assert seen == ([("F", tuple), ("f_plus", tuple), ("f_minus", tuple)]
                         + ([("J", tuple)] if order2 else []))
 
@@ -338,9 +341,9 @@ class TestFloatPath:
             F=lambda s: s,
             rep=Representation(f_plus=lambda s: (0.0,), f_minus=lambda s: (1.0,)),
         )
-        cfg = plain_config(bad)
-        out = system_nsfd_step(bad, cfg, np.array([2.0]), 1.0)
-        lane = system_nsfd_step(bad, cfg, np.array([[2.0]]), 1.0)[0]
+        update = system_step_map(bad, plain_config(bad)).update
+        out = update(np.array([2.0]), 1.0)
+        lane = update(np.array([[2.0]]), 1.0)[0]
         assert _bits(out) == _bits(lane) == [math.inf.hex()]
 
     @pytest.mark.parametrize("name, state, h", [
@@ -351,11 +354,11 @@ class TestFloatPath:
     ])
     def test_one_lane_array_is_silent_where_the_float_path_is(self, name, state, h):
         system = get_system(name)
-        cfg = second_order_config(system)
+        update = system_step_map(system, second_order_config(system)).update
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lane = system_nsfd_step(system, cfg, np.array([state]), h)[0]
-            single = system_nsfd_step(system, cfg, state, h)
+            lane = update(np.array([state]), h)[0]
+            single = update(state, h)
         assert _bits(lane) == _bits(single)
 
 
@@ -365,10 +368,10 @@ class TestTupleState:
     def test_tuple_state_gives_a_tuple_with_the_array_bits(self, case, order2, h):
         name, state = case
         system = get_system(name)
-        cfg = _config(system, order2)
-        out = system_nsfd_step(system, cfg, tuple(state.tolist()), h)
+        update = system_step_map(system, _config(system, order2)).update
+        out = update(tuple(state.tolist()), h)
         assert type(out) is tuple and all(type(v) is float for v in out)
-        assert _bits(out) == _bits(system_nsfd_step(system, cfg, state, h))
+        assert _bits(out) == _bits(update(state, h))
 
     @pytest.mark.parametrize("name, params, state", [
         ("lv", {"c": -1.0}, (0.0, 1e-11)),
@@ -384,8 +387,9 @@ class TestTupleState:
         with pytest.raises(ZeroDivisionError):
             weighted_step(state[1], system.F(state)[1], 1.0, system.rep.f_plus(state)[1],
                           system.rep.f_minus(state)[1], cfg.alphas[1], cfg.betas[1])
-        out = system_nsfd_step(system, cfg, state, 1.0)
-        array = system_nsfd_step(system, cfg, np.array(state), 1.0)
+        update = system_step_map(system, cfg).update
+        out = update(state, 1.0)
+        array = update(np.array(state), 1.0)
         assert type(out) is tuple and isinstance(array, np.ndarray)
         assert _bits(out) == _bits(array) and math.inf in out
 
@@ -406,8 +410,9 @@ class TestTupleState:
         cfg = _config(system, order2)
         # no errstate here: the array-path rerun is silent, and the suite
         # turns a RuntimeWarning from the package into an error
-        expected = system_nsfd_step(system, cfg, state, h)
-        out = system_nsfd_step(system, cfg, state, np.float64(h))
+        update = system_step_map(system, cfg).update
+        expected = update(state, h)
+        out = update(state, np.float64(h))
         assert type(out) is tuple and all(type(v) is float for v in out)
         assert _bits(out) == _bits(expected)
 
@@ -452,11 +457,11 @@ class TestTupleState:
             F=lambda s: s,
             rep=Representation(f_plus=lambda s: (0.0,), f_minus=lambda s: (1.0,)),
         )
-        cfg = plain_config(bad)
+        step = system_step_map(bad, plain_config(bad)).update
         rows = [(2.0,)]
 
         def update(s, h):
-            rows.append(system_nsfd_step(bad, cfg, s, 1.0 if len(rows) == 5 else h))
+            rows.append(step(s, 1.0 if len(rows) == 5 else h))
             return rows[-1]
 
         traj = integrate(StepMap("bad-sign", update), rows[0], 0.25, 2.0)
@@ -724,17 +729,18 @@ class TestJacobianVectorProduct:
                                     - on_lanes(system.F, lanes - eps * v))
                                    / (2.0 * eps), rtol=1e-7, atol=1e-7)
         cfg = second_order_config(system)
+        update = system_step_map(system, cfg).update
         hs = 10.0 ** np.random.default_rng(8).uniform(-3.0, 2.0, len(lanes))
-        batch = system_nsfd_step(system, cfg, lanes, hs)
+        batch = update(lanes, hs)
         for x, h, row in zip(lanes, hs, batch):
-            out = system_nsfd_step(system, cfg, tuple(x.tolist()), float(h))
+            out = update(tuple(x.tolist()), float(h))
             assert type(out) is tuple
-            assert _bits(out) == _bits(row) == _bits(system_nsfd_step(system, cfg, x[None], h)[0])
+            assert _bits(out) == _bits(row) == _bits(update(x[None], h)[0])
         for h in (0.05, 1.0):
             traj = integrate_system(system, cfg, tuple(lanes[0].tolist()), h, 100 * h)
             lane = lanes[:1]
             for state in traj.states[1:]:
-                lane = system_nsfd_step(system, cfg, lane, h)
+                lane = update(lane, h)
                 assert _bits(state) == _bits(lane[0]), h
 
 
