@@ -18,7 +18,6 @@ from .schemes import StepMap, integrate, nsfd_step_map, reference_solution
 from .splitting import (
     SplitBounds,
     compute_bounds,
-    find_zeros,
     lemma1_split,
     theorem1_split,
     validate_representation,
@@ -41,7 +40,7 @@ __all__ = [
     "classify_equilibria", "register_problem",
     "get_problem", "get_scheme", "problem_names", "scheme_bundles",
     "StepMap", "integrate", "nsfd_step_map", "reference_solution",
-    "SplitBounds", "compute_bounds", "find_zeros", "lemma1_split", "theorem1_split",
+    "SplitBounds", "compute_bounds", "lemma1_split", "theorem1_split",
     "validate_representation",
     "SystemProblem", "SystemSchemeConfig", "get_system", "integrate_system",
     "second_order_config", "second_order_rates", "system_step_map",

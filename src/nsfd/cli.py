@@ -161,7 +161,7 @@ def cmd_split(args) -> int:
     problem = get_problem(args.problem)
     rep = theorem1_split(problem)
     report = validate_representation(problem, rep)
-    ys = np.linspace(max(problem.domain_hint[0], 0.0), problem.domain_hint[1], 5)
+    ys = np.linspace(*report.window, 5)
     print(f"derived representation for {problem.name} (provenance {rep.provenance})")
     print(f"{'y':>10} {'f_plus':>14} {'f_minus':>14} {'residual':>12}")
     for y in ys:
@@ -169,6 +169,7 @@ def cmd_split(args) -> int:
         res = fp + y * fm - float(problem.f(y))
         print(f"{y:>10.4g} {fp:>14.6g} {fm:>14.6g} {res:>12.3e}")
     print(report)
+    print("signs checked on [{:g}, {:g}]; not checked beyond it".format(*report.window))
     return 0 if report.passed else 1
 
 

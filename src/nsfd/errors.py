@@ -17,10 +17,6 @@ class AmbiguousTail(NsfdError):
     """Sampled signs of f beyond its last zero disagree."""
 
 
-class GNotInClass(NsfdError):
-    """Auxiliary shift function dips below the required lower bound M."""
-
-
 class NonPositiveStep(NsfdError):
     """Step size h must be finite and strictly positive."""
 
@@ -60,10 +56,6 @@ class DimensionMismatch(NsfdError):
 
 class JacobianMissing(NsfdError):
     """Operation requires a Jacobian the system does not provide."""
-
-
-class NoSignStructure(UserWarning):
-    """Root scan found no zeros; f keeps one sign on the scanned interval."""
 
 
 class NonHyperbolicWarning(UserWarning):

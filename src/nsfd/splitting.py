@@ -1,26 +1,26 @@
 """Construction and validation of signed splittings of a right-hand side.
 
-Two constructions are provided. The additive one writes f = f_plus + f_minus
-with f_plus >= 0 >= f_minus using an auxiliary function g bounded below by
-M = max(|min f|, |max f|) on [0, y_m] (y_m the largest zero). The
-multiplicative one writes f = f_plus + y * f_minus by splitting the guarded
-quotient f(y)/y and reassembling; it is the form the positive schemes are
-built on.
+There is one construction, the paper's. Lemma 1 (:func:`lemma1_split`)
+splits a function additively as f_plus + f_minus with f_plus >= 0 >= f_minus
+on a window: by the constant g = M = max(|min f|, |max f|) on [0, y_m]
+(y_m the largest zero), added on the side opposite the sign of f beyond
+y_m, or by g = 0 when f has no zero there. Theorem 1 (:func:`theorem1_split`)
+applies Lemma 1 to the guarded quotient f(y)/y and reassembles
+f = f_plus + y * f_minus, the form the positive schemes are built on.
 
-Splittings are not unique; the automatic construction here uses the constant
-g = M, the smallest constant member of the admissible class, which distorts
-f_plus the least. Hand-picked splittings can always be supplied instead.
+Splittings are not unique; g = M is the smallest constant member of the
+admissible class, which distorts f_plus the least. Hand-picked splittings
+can always be supplied instead.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import AmbiguousTail, GNotInClass, NegativeAtZero, NoSignStructure
+from .errors import AmbiguousTail, NegativeAtZero
 from .model import Representation, ScalarProblem
 from .rootfind import scan_zeros
 
@@ -39,32 +39,10 @@ N_SAMPLES = 10_000
 class SplitBounds:
     """Extremes of f on [0, y_m] plus the sign of f beyond y_m."""
 
-    zeros: tuple[float, ...]
     l: float
     L: float
     M: float
     tail_sign: str  # "positive" | "negative"
-
-    @property
-    def y_m(self) -> float:
-        return self.zeros[-1]
-
-
-def find_zeros(problem: ScalarProblem, n_scan: int = N_SAMPLES) -> list[float]:
-    """Sorted zeros of f on the problem's domain window.
-
-    An empty list is a valid result when f never changes sign; it is
-    flagged with a :class:`NoSignStructure` warning.
-    """
-    lo, hi = problem.domain_hint
-    roots = scan_zeros(problem.f, lo, hi, n_scan)
-    if not roots:
-        warnings.warn(
-            f"{problem.name}: no zeros on [{lo:.6g}, {hi:.6g}]; f has constant sign",
-            NoSignStructure,
-            stacklevel=2,
-        )
-    return roots
 
 
 def _refine_extremum(fn: Callable, lo: float, hi: float, sign: float) -> float:
@@ -74,7 +52,10 @@ def _refine_extremum(fn: Callable, lo: float, hi: float, sign: float) -> float:
     return float(np.min(sign * values))
 
 
-def _bounds_of(fn: Callable, zeros: list[float]) -> SplitBounds:
+def compute_bounds(fn: Callable, zeros: list[float]) -> SplitBounds:
+    """Extremes of ``fn`` on [0, y_m], y_m the last of ``zeros``, by dense
+    sampling plus local refinement, and the confirmed sign of ``fn`` beyond
+    y_m. Raises :class:`AmbiguousTail` if sampled tail signs disagree."""
     if not zeros:
         raise ValueError("bounds are undefined without zeros: f has constant sign")
     y_m = zeros[-1]
@@ -108,61 +89,28 @@ def _bounds_of(fn: Callable, zeros: list[float]) -> SplitBounds:
     else:
         raise AmbiguousTail(f"sampled signs beyond y_m = {y_m:.6g} disagree: {tail_vals}")
 
-    return SplitBounds(zeros=tuple(zeros), l=l, L=L, M=max(abs(l), abs(L)), tail_sign=tail)
+    return SplitBounds(l=l, L=L, M=max(abs(l), abs(L)), tail_sign=tail)
 
 
-def compute_bounds(problem: ScalarProblem, zeros: list[float]) -> SplitBounds:
-    """Extremes of f on [0, y_m] by dense sampling plus local refinement,
-    and the confirmed sign of f beyond y_m."""
-    return _bounds_of(problem.f, list(zeros))
+def lemma1_split(fn: Callable, lo: float, hi: float) -> tuple[Callable, Callable]:
+    """Lemma 1: ``fn = f_plus + f_minus`` with f_plus >= 0 >= f_minus, from
+    the sign structure of ``fn`` on [lo, hi].
 
-
-def _lemma1_pair(fn: Callable, bounds: SplitBounds, g: Callable) -> tuple[Callable, Callable]:
-    if bounds.tail_sign == "positive":
-        f_plus = lambda y: fn(y) + g(y)  # noqa: E731
-        f_minus = lambda y: -g(y)  # noqa: E731
-    else:
-        f_plus = g
-        f_minus = lambda y: fn(y) - g(y)  # noqa: E731
-    return f_plus, f_minus
-
-
-def lemma1_split(
-    problem: ScalarProblem,
-    bounds: SplitBounds,
-    g_choice: Optional[Callable] = None,
-) -> tuple[Callable, Callable]:
-    """Additive splitting f = f_plus + f_minus from the sign structure in
-    ``bounds``. The default auxiliary function is the constant M.
-
-    Raises :class:`GNotInClass` if ``g_choice`` dips below M on samples.
+    With zeros, the constant g = M of :func:`compute_bounds` is added to
+    ``fn`` for f_plus when ``fn`` is positive beyond its last zero, and taken
+    as f_plus otherwise. Without zeros ``fn`` keeps one sign and is its own
+    split, with g = 0.
     """
-    M = bounds.M
-    if g_choice is None:
-        g_choice = lambda y: M * np.ones_like(np.asarray(y, dtype=float))  # noqa: E731
-    lo, hi = problem.domain_hint
-    samples = np.linspace(max(lo, 0.0), hi, N_SAMPLES)
-    gv = np.asarray(g_choice(samples), dtype=float)
-    # slack matches the outward padding of M in the bounds computation, so a
-    # g sitting exactly on the true extremum is not rejected
-    if np.any(gv < M - 1e-7 * (1.0 + abs(M))):
-        i = int(np.argmin(gv))
-        raise GNotInClass(f"g({samples[i]:.6g}) = {gv[i]:.6g} < M = {M:.6g}")
-    return _lemma1_pair(problem.f, bounds, g_choice)
-
-
-def _split_additive(fn: Callable, lo: float, hi: float) -> tuple[Callable, Callable]:
-    """f_plus + f_minus decomposition of a callable on [lo, hi], handling the
-    sign-constant (zero-free) case with g = 0."""
     zeros = scan_zeros(fn, lo, hi)
     if not zeros:
-        if float(fn(lo)) >= 0.0:
-            return fn, (lambda y: np.zeros_like(np.asarray(y, dtype=float)))
-        return (lambda y: np.zeros_like(np.asarray(y, dtype=float))), fn
-    bounds = _bounds_of(fn, zeros)
+        zero = lambda y: np.zeros_like(np.asarray(y, dtype=float))  # noqa: E731
+        return (fn, zero) if float(fn(lo)) >= 0.0 else (zero, fn)
+    bounds = compute_bounds(fn, zeros)
     M = bounds.M
     g = lambda y: M * np.ones_like(np.asarray(y, dtype=float))  # noqa: E731
-    return _lemma1_pair(fn, bounds, g)
+    if bounds.tail_sign == "positive":
+        return (lambda y: fn(y) + g(y)), (lambda y: -g(y))
+    return g, (lambda y: fn(y) - g(y))
 
 
 def _guarded_quotient(fn: Callable, value_at_zero: float) -> Callable:
@@ -182,8 +130,9 @@ def theorem1_split(problem: ScalarProblem) -> Representation:
     """Multiplicative splitting f = f_plus + y * f_minus.
 
     The quotient g(y) = (f(y) - f(0))/y (extended by g(0) = f'(0)) is split
-    additively and reassembled as f_plus = f(0) + y * g_plus, f_minus =
-    g_minus. An |f(0)| at or below ZERO_TOL is taken as f(0) = 0.
+    by :func:`lemma1_split` on the nonnegative part of the domain window and
+    reassembled as f_plus = f(0) + y * g_plus, f_minus = g_minus. An |f(0)|
+    at or below ZERO_TOL is taken as f(0) = 0.
     """
     f0 = float(problem.f(0.0))
     if f0 < -ZERO_TOL:
@@ -193,15 +142,17 @@ def theorem1_split(problem: ScalarProblem) -> Representation:
     lo, hi = problem.domain_hint
     shifted = lambda y: problem.f(y) - f0  # noqa: E731
     g = _guarded_quotient(shifted, float(problem.df(0.0)))
-    g_plus, g_minus = _split_additive(g, max(lo, 0.0), hi)
+    g_plus, g_minus = lemma1_split(g, max(lo, 0.0), hi)
     f_plus = lambda y: f0 + np.asarray(y, dtype=float) * g_plus(y)  # noqa: E731
     return Representation(f_plus=f_plus, f_minus=g_minus, provenance="auto_theorem1")
 
 
 @dataclass(frozen=True)
 class SplitReport:
-    """Sampled sign and reconstruction diagnostics for a representation."""
+    """Sampled sign and reconstruction diagnostics for a representation, and
+    the window [lo, hi] the samples cover; signs beyond it are not checked."""
 
+    window: tuple[float, float]
     max_plus_violation: float
     max_minus_violation: float
     max_residual: float
@@ -223,13 +174,13 @@ class SplitReport:
         )
 
 
-def validate_representation(
-    problem: ScalarProblem, rep: Representation, n_samples: int = N_SAMPLES
-) -> SplitReport:
-    """Check sign constraints and reconstruction f_plus + y*f_minus = f on a
-    dense sample of the nonnegative part of the domain window."""
-    lo, hi = problem.domain_hint
-    ys = np.linspace(max(lo, 0.0), hi, n_samples)
+def validate_representation(problem: ScalarProblem, rep: Representation) -> SplitReport:
+    """Check sign constraints and reconstruction f_plus + y*f_minus = f on
+    ``N_SAMPLES`` points of the nonnegative part of the domain window and at
+    the equilibria in it."""
+    window = (max(problem.domain_hint[0], 0.0), problem.domain_hint[1])
+    lo, hi = window
+    ys = np.linspace(lo, hi, N_SAMPLES)
     extra = [e.y_star for e in problem.equilibria if lo <= e.y_star <= hi]
     if extra:
         ys = np.sort(np.concatenate([ys, np.asarray(extra)]))
@@ -239,6 +190,7 @@ def validate_representation(
     fv = np.asarray(problem.f(ys), dtype=float)
     residual = np.abs(fp + ys * fm - fv) / (1.0 + np.abs(fv))
     return SplitReport(
+        window=window,
         max_plus_violation=float(max(0.0, np.max(-fp))),
         max_minus_violation=float(max(0.0, np.max(fm))),
         max_residual=float(np.max(residual)),

@@ -471,6 +471,11 @@ class TestCheckAndSplit:
         assert main(["split", "--problem", "powerlaw"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_split_names_its_window(self, capsys):
+        assert main(["split", "--problem", "logistic"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "signs checked on [0, 10]; not checked beyond it"
+
 
 class TestAudit:
     def test_default_registry_passes(self, capsys):

@@ -10,16 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nsfd
-from nsfd.errors import AmbiguousTail, GNotInClass, NegativeAtZero, NoSignStructure
-from nsfd.model import Representation, ScalarProblem, register_problem
+from nsfd.errors import AmbiguousTail, NegativeAtZero
+from nsfd.model import Representation, ScalarProblem, register_problem, with_equilibria
 from nsfd.problems import get_problem, problem_names
-from nsfd.splitting import (
-    compute_bounds,
-    find_zeros,
-    lemma1_split,
-    theorem1_split,
-    validate_representation,
-)
+from nsfd.rootfind import scan_zeros
+from nsfd.splitting import compute_bounds, lemma1_split, theorem1_split, validate_representation
 
 
 def _problem(name, f, df, domain=(0.0, 10.0), f0_nonneg=True):
@@ -40,30 +35,28 @@ ANALYTIC_EXTREMES = {
 }
 
 
+def _zeros(p):
+    return scan_zeros(p.f, *p.domain_hint)
+
+
 class TestFindZeros:
     def test_logistic(self):
-        roots = find_zeros(get_problem("logistic"))
+        p = get_problem("logistic")
+        roots = _zeros(p)
         assert len(roots) == 2
         assert roots[0] == pytest.approx(0.0, abs=1e-12)
         assert roots[1] == pytest.approx(2.0, abs=1e-9)
-        p = get_problem("logistic")
         assert all(abs(float(p.f(r))) <= 1e-12 for r in roots)
 
     def test_sine(self):
-        roots = find_zeros(get_problem("sine"))
+        roots = _zeros(get_problem("sine"))
         assert np.allclose(roots, [0.0, 1.0, 2.0, 3.0], atol=1e-9)
-
-    def test_no_roots_warns_and_returns_empty(self):
-        p = _problem("possq", lambda y: np.asarray(y) ** 2 + 1.0,
-                     lambda y: 2.0 * np.asarray(y))
-        with pytest.warns(NoSignStructure):
-            assert find_zeros(p) == []
 
 
 class TestComputeBounds:
     def test_logistic(self):
         p = get_problem("logistic")
-        b = compute_bounds(p, find_zeros(p))
+        b = compute_bounds(p.f, _zeros(p))
         assert b.l == pytest.approx(0.0, abs=1e-12)
         assert b.L == pytest.approx(1.0, rel=1e-6)
         assert b.M == pytest.approx(1.0, rel=1e-6)
@@ -72,7 +65,7 @@ class TestComputeBounds:
 
     def test_cubic(self):
         p = get_problem("cubic")
-        b = compute_bounds(p, find_zeros(p))
+        b = compute_bounds(p.f, _zeros(p))
         peak = 2.0 / (3.0 * np.sqrt(3.0))
         assert b.l == pytest.approx(0.0, abs=1e-12)
         assert b.L == pytest.approx(peak, rel=1e-6)
@@ -84,7 +77,7 @@ class TestComputeBounds:
     def test_bounds_ordering_invariants(self, name):
         # f attains 0 on [0, y_m], so l <= 0 <= L, and M covers both
         p = get_problem(name)
-        b = compute_bounds(p, find_zeros(p))
+        b = compute_bounds(p.f, _zeros(p))
         assert b.l <= 0.0 <= b.L
         assert b.M >= abs(b.l) and b.M >= abs(b.L)
         # l and L cover the analytic extremes, padded outward by no more
@@ -95,50 +88,54 @@ class TestComputeBounds:
 
     def test_empty_zeros_rejected(self):
         with pytest.raises(ValueError):
-            compute_bounds(get_problem("logistic"), [])
+            compute_bounds(get_problem("logistic").f, [])
 
     def test_ambiguous_tail(self):
         # f oscillates within the probe window beyond the claimed last zero
         p = _problem("osc", lambda y: np.sin(500.0 * np.asarray(y)),
                      lambda y: 500.0 * np.cos(500.0 * np.asarray(y)), domain=(0.0, 1.0))
         with pytest.raises(AmbiguousTail):
-            compute_bounds(p, [0.0])
+            compute_bounds(p.f, [0.0])
 
 
 class TestLemma1Split:
     def test_case2_logistic_constant_g(self):
         p = get_problem("logistic")
-        bounds = compute_bounds(p, find_zeros(p))
-        f_plus, f_minus = lemma1_split(p, bounds, g_choice=lambda y: np.ones_like(np.asarray(y, float)))
+        bounds = compute_bounds(p.f, _zeros(p))
+        f_plus, f_minus = lemma1_split(p.f, *p.domain_hint)
         ys = np.linspace(0.0, 10.0, 500)
-        assert np.allclose(f_plus(ys), 1.0)
-        assert np.allclose(f_minus(ys), 2.0 * ys - ys * ys - 1.0)
+        assert np.array_equal(f_plus(ys), np.full_like(ys, bounds.M))
+        assert np.array_equal(f_minus(ys), p.f(ys) - bounds.M)
         assert np.all(np.asarray(f_minus(ys)) <= 1e-12)
         assert np.allclose(f_plus(ys) + f_minus(ys), p.f(ys))
 
     def test_case1_shifted_line(self):
         p = _problem("line", lambda y: np.asarray(y, float) - 1.0,
                      lambda y: np.ones_like(np.asarray(y, float)), f0_nonneg=False)
-        bounds = compute_bounds(p, find_zeros(p))
+        bounds = compute_bounds(p.f, _zeros(p))
         assert bounds.tail_sign == "positive"
         assert bounds.l == pytest.approx(-1.0)
         assert bounds.M == pytest.approx(1.0)
-        f_plus, f_minus = lemma1_split(p, bounds)
+        f_plus, f_minus = lemma1_split(p.f, *p.domain_hint)
         ys = np.linspace(0.0, 10.0, 200)
         assert np.allclose(f_plus(ys), ys)
         assert np.allclose(f_minus(ys), -1.0)
 
-    def test_g_below_M_rejected(self):
-        p = get_problem("logistic")
-        bounds = compute_bounds(p, find_zeros(p))
-        with pytest.raises(GNotInClass):
-            lemma1_split(p, bounds, g_choice=lambda y: 0.5 * bounds.M * np.ones_like(np.asarray(y, float)))
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_zero_free_function_is_its_own_split(self, sign):
+        # a function of one sign on the window is split with g = 0
+        fn = lambda y: sign * (np.asarray(y, float) ** 2 + 1.0)  # noqa: E731
+        assert scan_zeros(fn, 0.0, 10.0) == []
+        f_plus, f_minus = lemma1_split(fn, 0.0, 10.0)
+        split, zero = (f_plus, f_minus) if sign > 0 else (f_minus, f_plus)
+        assert split is fn
+        ys = np.linspace(0.0, 10.0, 500)
+        assert np.array_equal(zero(ys), np.zeros_like(ys))
 
     def test_reconstruction_is_exact_composition(self):
         p = _problem("line2", lambda y: np.asarray(y, float) - 1.0,
                      lambda y: np.ones_like(np.asarray(y, float)), f0_nonneg=False)
-        bounds = compute_bounds(p, find_zeros(p))
-        f_plus, f_minus = lemma1_split(p, bounds)
+        f_plus, f_minus = lemma1_split(p.f, *p.domain_hint)
         ys = np.linspace(0.0, 10.0, 1000)
         assert np.max(np.abs(f_plus(ys) + f_minus(ys) - p.f(ys))) == 0.0
 
@@ -234,6 +231,21 @@ class TestValidateRepresentation:
         report = validate_representation(p, rep)
         assert not report.passed
         assert report.max_minus_violation > 1.0
+
+    def test_samples_stay_in_the_nonnegative_window(self):
+        # the equilibrium at y* = -1/2 lies outside [0, 3], where f_plus =
+        # y * g_plus is negative; the report checks only its window
+        def f(y):
+            y = np.asarray(y, float)
+            return y * (1.0 - y) * (y + 0.5)
+
+        p = with_equilibria(ScalarProblem(name="negwin", f=f,
+                                          df=lambda y: 0.5 - 3.0 * np.asarray(y, float) ** 2,
+                                          domain_hint=(-1.0, 3.0)))
+        assert min(e.y_star for e in p.equilibria) < 0.0
+        report = validate_representation(p, theorem1_split(p))
+        assert report.window == (0.0, 3.0)
+        assert report.passed, report
 
 
 @settings(max_examples=40, deadline=None)
