@@ -63,6 +63,9 @@ H3_RTOL = 1e-12
 #: states sampled over the domain window for H1 and H3
 H_SAMPLES = 100
 
+#: numpy's expm1, bound once for the float branch of ``phim``
+_expm1 = np.expm1
+
 
 def phim(x):
     """The kernel (1 - exp(-x))/x with its removable singularity filled.
@@ -72,31 +75,36 @@ def phim(x):
     avoid cancellation; saturates at ``ARG_FLOOR`` to stay finite. The two
     branches agree bit for bit element by element.
 
+    A Python float takes the float branch as it is, with no 0-d dispatch and
+    no conversion; any other 0-d value is made a float first, and the
+    result is a Python float either way. The float branch calls numpy's
+    expm1 (``_expm1``, bound once), not ``math.expm1``: the two differ in
+    the last bit for some arguments, and the array branch uses numpy's.
+
     The array branch runs expm1 on every element and then writes the series
     over the lanes with |x| < ``SERIES_CUTOFF`` only, when there are any. It
     needs no errstate: the series never sees a huge argument, expm1 of an
     argument >= ``ARG_FLOOR`` (or of +-inf) does not overflow, and nan passes
     through without a warning.
     """
-    if type(x) is float or np.ndim(x) == 0:
+    if type(x) is not float:
+        if np.ndim(x):
+            arr = np.asarray(x, dtype=float)
+            small = np.abs(arr) < SERIES_CUTOFF
+            safe = np.maximum(arr, ARG_FLOOR)
+            if not small.any():
+                return -_expm1(-safe) / safe
+            safe[small] = 1.0
+            out = -_expm1(-safe) / safe
+            s = arr[small]
+            out[small] = 1.0 - s / 2.0 + s * s / 6.0 - s * s * s / 24.0
+            return out
         x = float(x)
-        if -SERIES_CUTOFF < x < SERIES_CUTOFF:
-            return 1.0 - x / 2.0 + x * x / 6.0 - x * x * x / 24.0
-        if x < ARG_FLOOR:
-            x = ARG_FLOOR
-        # np.expm1, not math.expm1: the two differ in the last bit for some
-        # arguments, and the array branch below uses numpy's
-        return -float(np.expm1(-x)) / x
-    arr = np.asarray(x, dtype=float)
-    small = np.abs(arr) < SERIES_CUTOFF
-    safe = np.maximum(arr, ARG_FLOOR)
-    if not small.any():
-        return -np.expm1(-safe) / safe
-    safe[small] = 1.0
-    out = -np.expm1(-safe) / safe
-    s = arr[small]
-    out[small] = 1.0 - s / 2.0 + s * s / 6.0 - s * s * s / 24.0
-    return out
+    if -SERIES_CUTOFF < x < SERIES_CUTOFF:
+        return 1.0 - x / 2.0 + x * x / 6.0 - x * x * x / 24.0
+    if x < ARG_FLOOR:
+        x = ARG_FLOOR
+    return -float(_expm1(-x)) / x
 
 
 def check_step(h) -> None:

@@ -6,7 +6,13 @@ The positive scheme advances by
 
 with phi = h * phim(h * lam(y)). Every term in the numerator is nonnegative
 and the denominator is at least 1, so iterates from y >= 0 stay nonnegative
-in floating point, not just in exact arithmetic. Every weighted step ends
+in floating point, not just in exact arithmetic. As a lemma of IEEE
+arithmetic: with y >= 0, ph > 0, f_plus >= 0, f_minus <= 0 and
+alpha <= 0 <= beta, signed zeros, subnormals and infinities included,
+``weighted_update`` returns a result >= 0 or nan. Each term of the numerator
+is a product of factors of known sign, so it is >= 0 or nan (inf * 0); a sum
+of such terms is too, and the denominator 1 - ph*beta*f_minus is >= 1 or
+nan. Rounding never flips a sign. Every weighted step ends
 in ``weighted_step`` on floats or ``weighted_step_array`` on arrays, which
 keep a point with f(y) = 0 exactly and apply ``weighted_update``, the one
 place the formula is written, elsewhere.
@@ -38,6 +44,26 @@ scheme and agree bit for bit, so the right-hand-side callables must compute
 the same value for a float as for a one-element array: arithmetic and numpy
 ufuncs do, while Python's ``**`` on floats rounds differently from
 ``np.power`` (write ``y * y`` or ``np.power(y, m)``).
+
+Beside ``update``, ``checked_map`` builds a block loop, ``advance(state, h,
+n, store)``: n steps, each state passed to ``store``, the last one returned.
+It hangs on the ``update`` it was built with, as ``update.advance``, and
+``integrate`` calls it once per block of about ``FOLD_BLOCK_FLOATS`` floats.
+Once per block it checks that h is a finite Python float > 0 and that the
+state is in the float kernel's form (a Python float, or a tuple of them for
+a system); otherwise it calls ``update`` step by step. Per step it keeps
+what ``update`` does there: the sign rule of a positive map, the float
+kernel, the rerun on the array path of a step whose float arithmetic raises
+(the next step runs on floats again), and for a tuple the state adapter's
+type check, so every step takes the path ``update`` would give it and
+returns its bits. The sign rule, the kernel call and the rerun are written
+once, in the step that ``update`` and the block loop share. The positivity
+lemma above would let a weighted map check the sign of a block's start only;
+every step still checks it, as every map's ``update`` does. A map whose
+``update`` was replaced (``dataclasses.replace``; a ``functools.wraps``
+wrapper, which copies the attribute, too) or that was built from a bare
+``update`` (the RK4 references) has no block loop of its own: ``integrate``
+folds it one ``update`` call per step.
 
 Each step map is bound once. ``nsfd_step_map`` binds the model callables,
 the weights and the rate function; with a rate derived from the step's own
@@ -122,7 +148,9 @@ def checked_map(label: str, float_step: Callable, array_step: Callable, positive
     ``floats``), ``floats(state)`` gives it for any other state, or None for
     the array path, and ``lanes(state)`` gives the array kernel's; either
     raises on a state it refuses. A float-path state that ``floats`` built
-    (from a system's (dim,) array) comes back as an array.
+    (from a system's (dim,) array) comes back as an array. The float kernel
+    returns a Python float, or a tuple for a system. ``update.advance`` is
+    the block loop of the module docstring.
     """
 
     # one errstate over the whole path; a decorator costs half a ``with``
@@ -137,23 +165,48 @@ def checked_map(label: str, float_step: Callable, array_step: Callable, positive
             return float(out)
         return tuple(out.tolist()) if isinstance(state, tuple) and out.ndim == 1 else out
 
+    def on_floats(x, h):
+        # one step of a state in the float kernel's form at a checked h: a
+        # least component >= 0 rules out a negative (a nan first fails it)
+        if positive and not (x if type(x) is float else min(x)) >= 0.0:
+            _check_sign(x, label)
+        try:
+            return float_step(x, h)
+        except (OverflowError, ZeroDivisionError):
+            return on_arrays(x, h)  # numpy returns inf/nan here
+
     def update(state, h):
         x = state if type(state) is kind else floats(state)
-        if x is not None and type(h) is float:
-            # a least component >= 0 rules out a negative (a nan first fails it)
-            if positive and not (x if type(x) is float else min(x)) >= 0.0:
-                _check_sign(x, label)
-            if not 0.0 < h < math.inf:
-                check_step(h)  # raises NonPositiveStep
-            try:
-                out = float_step(x, h)
-            except (OverflowError, ZeroDivisionError):
-                pass  # numpy returns inf/nan here: rerun on the array path
-            else:
-                return out if x is state else np.array(out)
-        return on_arrays(state, h)
+        if x is None or type(h) is not float or not 0.0 < h < math.inf:
+            return on_arrays(state, h)  # for a bad h: the sign rule, then NonPositiveStep
+        out = on_floats(x, h)
+        return out if x is state else np.array(out)
 
+    # a float kernel returns a Python float; a tuple it returns goes through
+    # ``floats`` again, as ``update`` would send it
+    each = on_floats if kind is float else (
+        lambda x, h: on_floats(x, h) if floats(x) is x else on_arrays(x, h))
+
+    def advance(state, h, n, store):
+        if type(h) is not float or not 0.0 < h < math.inf or (
+                type(state) is not kind and floats(state) is not state):
+            return _fold(update, state, h, n, store)
+        for _ in range(n):
+            state = each(state, h)
+            store(state)
+        return state
+
+    advance.update = update
+    update.advance = advance
     return StepMap(label=label, update=update)
+
+
+def _fold(update: Callable, state, h, n: int, store: Callable):
+    """n steps of ``update`` from ``state``, each passed to ``store``; the last state."""
+    for _ in range(n):
+        state = update(state, h)
+        store(state)
+    return state
 
 
 def weighted_update(y, ph, fp, fm, alpha: float, beta: float):
@@ -314,8 +367,11 @@ def integrate(
     without converting the state. Every carried state is stored a block of
     rows at a time, about ``FOLD_BLOCK_FLOATS`` floats each: the rows are
     collected in one list (a tuple's components flat) and written as one
-    array, so numpy does not parse a row per step. The trajectory is its step size and its
-    states; its times are the grid t_k = k*h.
+    array, so numpy does not parse a row per step. Each block is one call of
+    the map's block loop (``update.advance``, see the module docstring), or
+    of ``update`` once per step for a map without one of its own. The
+    trajectory is its step size and its states; its times are the grid
+    t_k = k*h.
     """
     check_step(h)
     h = float(h)  # a numpy-scalar h once, so that every step can take a float path
@@ -334,6 +390,9 @@ def integrate(
             stacklevel=2,
         )
     update = step.update
+    advance = getattr(update, "advance", None)
+    if getattr(advance, "update", None) is not update:  # a bare update, or a wrapper of one
+        advance = partial(_fold, update)
     start = np.asarray(y0, dtype=float)
     states = np.empty((n + 1,) + start.shape, dtype=float)
     states[0] = start
@@ -347,9 +406,7 @@ def integrate(
     rows = max(1, FOLD_BLOCK_FLOATS // max(1, start.size))
     for first in range(1, n + 1, rows):
         last = min(first + rows, n + 1)
-        for _ in range(first, last):
-            y = update(y, h)
-            store(y)
+        y = advance(y, h, last - first, store)
         states[first:last] = np.array(flat, dtype=float).reshape((last - first,) + start.shape)
         flat.clear()
     return Trajectory(states=states, scheme_label=step.label, problem_name=problem_name, h=h)

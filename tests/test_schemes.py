@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 from collections import Counter
@@ -24,6 +25,7 @@ from nsfd.problems import _monod, _powerlaw, get_problem, get_scheme, problem_na
 from nsfd.schemes import (
     FOLD_BLOCK_FLOATS,
     StepMap,
+    checked_map,
     euler_map,
     integrate,
     mickens_cubic_map,
@@ -34,9 +36,16 @@ from nsfd.schemes import (
     rk2_map,
     weighted_step,
     weighted_step_array,
+    weighted_update,
     wood_map,
 )
-from nsfd.systems import get_system, plain_config, second_order_config, system_step_map
+from nsfd.systems import (
+    DEFAULT_STARTS,
+    get_system,
+    plain_config,
+    second_order_config,
+    system_step_map,
+)
 from system_helpers import BOX
 
 mp.mp.dps = 50
@@ -368,7 +377,106 @@ class TestPowerlaw:
             get_scheme("powerlaw", "nsfd-printed").step.update(-0.5, 0.1)
 
 
+#: every registry scalar map, and lv and sirs under both system schemes
+FOLD_MAPS = ([f"{p}/{label}" for p in problem_names() for label in scheme_bundles(p)]
+             + [f"{m}/{label}" for m in ("lv", "sirs") for label in ("nsfd2", "plain")])
+
+
+def _fold_map(name):
+    """(step map, start) of a FOLD_MAPS name: a float start for a scalar map,
+    a tuple start for a system."""
+    model, label = name.split("/")
+    if model in DEFAULT_STARTS:
+        system = get_system(model)
+        config = second_order_config if label == "nsfd2" else plain_config
+        return system_step_map(system, config(system, label=label)), DEFAULT_STARTS[model]
+    return get_scheme(model, label).step, 0.5
+
+
+def _by_hand(update, y0, h, n):
+    """The states of n steps of ``update`` from y0, each step called by hand."""
+    y, rows = y0, [y0]
+    for _ in range(n):
+        y = update(y, h)
+        rows.append(y)
+    return np.array(rows, dtype=float)
+
+
+def _sign_probe(k: int, calls: list):
+    """A positive map whose float kernel halves the state, but returns -1.0
+    at its k-th call; ``calls`` counts the kernel's calls."""
+
+    def on_floats(y, h):
+        calls.append(y)
+        return -1.0 if len(calls) == k else 0.5 * y
+
+    return checked_map("probe", on_floats, lambda s, h: 0.5 * s, positive=True)
+
+
 class TestIntegrate:
+    @pytest.mark.parametrize("name", FOLD_MAPS)
+    def test_block_fold_is_the_loop_over_update(self, name):
+        # a block runs many steps in one call; its rows are those of update
+        # called step by step, bit for bit, on both sides of a block edge
+        step, y0 = _fold_map(name)
+        rows = FOLD_BLOCK_FLOATS // np.size(y0)
+        for n in (0, 1, rows - 1, rows, rows + 1):
+            traj = integrate(step, y0, 1e-3, n * 1e-3)
+            assert traj.states.tobytes() == _by_hand(step.update, y0, 1e-3, n).tobytes(), n
+
+    @pytest.mark.parametrize("label, y0, head", [
+        ("euler", 1e77, [1e77, -1.0000000000000001e307, -math.inf, -math.inf]),
+        ("nsfd", 1e100, [1e100, math.inf, math.nan, math.nan]),
+    ])
+    def test_block_fold_continues_on_floats_after_a_rerun(self, label, y0, head):
+        # Python's ** overflows inside the block (euler: at the second step,
+        # nsfd: at the first), that step reruns on the array path, and the
+        # rest of the block runs on floats again
+        step = get_scheme("powerlaw", label).step
+        traj = integrate(step, y0, 0.1, 1.0)
+        assert traj.states.tobytes() == _by_hand(step.update, y0, 0.1, 10).tobytes()
+        assert np.array_equal(traj.states[:4], head, equal_nan=True)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, FOLD_BLOCK_FLOATS - 1, FOLD_BLOCK_FLOATS + 3])
+    def test_negative_state_inside_a_block_raises_at_the_next_step(self, k):
+        # step k returns -1.0; step k + 1 refuses it before calling the kernel,
+        # with the message update gives for the same state
+        calls: list = []
+        step = _sign_probe(k, calls)
+        with pytest.raises(NegativeState) as raised:
+            integrate(step, 0.5, 1e-3, (k + 5) * 1e-3)
+        assert len(calls) == k
+        with pytest.raises(NegativeState) as by_update:
+            _sign_probe(1, []).update(-1.0, 1e-3)
+        assert str(raised.value) == str(by_update.value) == "probe needs y_n >= 0, got min -1"
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -1e-3])
+    def test_bad_step_size_raises_before_any_step(self, h):
+        calls: list = []
+        step = _sign_probe(0, calls)
+        with pytest.raises(NonPositiveStep):
+            integrate(step, 0.5, h, 1.0)
+        stored: list = []
+        with pytest.raises(NonPositiveStep):  # the block loop itself, called directly
+            step.update.advance(0.5, h, 3, stored.append)
+        assert calls == stored == []
+
+    def test_replaced_or_bare_update_is_called_once_per_step(self):
+        # a replaced update (a wrapper made with functools.wraps too, which
+        # copies the block loop's attribute) and a map built from a bare
+        # update have no block loop: each is folded one call per step
+        base = get_scheme("logistic", "snsfd1").step
+        calls = Counter()
+        replaced = replace(base, update=_counted(calls, "replaced", base.update))
+        wrapped = replace(base, update=functools.wraps(base.update)(
+            _counted(calls, "wrapped", base.update)))
+        bare = StepMap("bare", _counted(calls, "bare", base.update))
+        n = FOLD_BLOCK_FLOATS + 1
+        want = integrate(base, 0.5, 1e-3, n * 1e-3).states.tobytes()
+        for step in (replaced, wrapped, bare):
+            assert integrate(step, 0.5, 1e-3, n * 1e-3).states.tobytes() == want
+        assert calls == {"replaced": n, "wrapped": n, "bare": n}
+
     @pytest.mark.parametrize("name", ["logistic/snsfd1", "lv/nsfd2"])
     def test_numpy_scalar_step_size_reaches_every_step_as_a_python_float(self, name):
         # integrate converts a numpy-scalar h once, so every step takes the
@@ -453,21 +561,12 @@ class TestIntegrate:
 
     def test_float_rows_stored_in_blocks(self):
         # the rows integrate writes a block at a time are the carried states,
-        # on both sides of a block boundary: a float start and a tuple start
-        # (one lv state) against the same start stepped by hand, and 3-lane
-        # array starts, each lane against its float start's run
-        lv = get_system("lv")
+        # on both sides of a block boundary: 3-lane array starts, each lane
+        # against its float start's run (float and tuple starts against
+        # update by hand: test_block_fold_is_the_loop_over_update)
         snsfd1, wood = get_scheme("logistic", "snsfd1").step, get_scheme("logistic", "wood").step
-        by_hand = [(snsfd1, 0.5), (system_step_map(lv, second_order_config(lv)), (2.0, 0.5))]
         lanes = np.array([0.5, 1.5, 3.0])
         for n in (0, 1, FOLD_BLOCK_FLOATS - 1, FOLD_BLOCK_FLOATS, FOLD_BLOCK_FLOATS + 1):
-            for step, y0 in by_hand:
-                y, rows = y0, [y0]
-                for _ in range(n):
-                    y = step.update(y, 1e-3)
-                    rows.append(y)
-                traj = integrate(step, y0, 1e-3, n * 1e-3)
-                assert traj.states.tobytes() == np.array(rows).tobytes(), (step.label, n)
             for step in (snsfd1, wood):
                 traj = integrate(step, lanes, 1e-3, n * 1e-3)
                 assert traj.states.shape == (n + 1, len(lanes))
@@ -679,6 +778,26 @@ def test_weighted_step_float_and_array_forms_agree(x, F, ph, fp, fm, alpha, beta
         assert math.isnan(lane)
     else:
         assert _bits(value) == _bits(lane)
+
+
+NONNEGATIVE = st.floats(min_value=-0.0)  # both zeros, subnormals and inf
+NONPOSITIVE = st.floats(max_value=0.0)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(y=NONNEGATIVE, ph=st.floats(min_value=0.0, exclude_min=True), fp=NONNEGATIVE,
+       fm=NONPOSITIVE, alpha=NONPOSITIVE, beta=NONNEGATIVE)
+@example(y=0.0, ph=math.inf, fp=0.0, fm=-0.0, alpha=-0.0, beta=0.0)  # inf * 0 in every term
+@example(y=-0.0, ph=5e-324, fp=-0.0, fm=-math.inf, alpha=-math.inf, beta=math.inf)
+@example(y=1e308, ph=1e308, fp=1e308, fm=-1e308, alpha=-1e308, beta=1e308)
+def test_weighted_update_is_nonnegative_or_nan(y, ph, fp, fm, alpha, beta):
+    # the positivity lemma of the module docstring: only nonnegative terms
+    # over a denominator of at least 1, so no rounding makes a result negative
+    out = weighted_update(y, ph, fp, fm, alpha, beta)
+    assert out >= 0.0 or math.isnan(out)
+    with np.errstate(all="ignore"):
+        lane = weighted_update(*(np.array([v]) for v in (y, ph, fp, fm)), alpha, beta)
+    assert lane[0] >= 0.0 or math.isnan(lane[0])
 
 
 def test_star_import_binds_every_public_name():
