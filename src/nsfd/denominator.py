@@ -80,6 +80,9 @@ def phim(x):
     result is a Python float either way. The float branch calls numpy's
     expm1 (``_expm1``, bound once), not ``math.expm1``: the two differ in
     the last bit for some arguments, and the array branch uses numpy's.
+    The weighted map's float loop splices the float branch, the statements
+    after the dispatch, as text (``schemes._spliced``): a return there ends
+    an ``if`` block or the body.
 
     The array branch runs expm1 on every element and then writes the series
     over the lanes with |x| < ``SERIES_CUTOFF`` only, when there are any. It
@@ -121,7 +124,8 @@ def check_step(h) -> None:
 
 def derived_rate(df, fm, beta: float):
     """The derived rate -f'(y) + 2*beta*f_minus(y) from the values df = f'(y)
-    and fm = f_minus(y); the one place this expression is written."""
+    and fm = f_minus(y); the one place this expression is written (the
+    weighted map's float loop splices it)."""
     return -df + 2.0 * beta * fm
 
 

@@ -22,8 +22,9 @@ ROOT_SPACING = 1e-8
 SCAN_BLOCK_POINTS = 4096
 
 
-def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    flo, fhi = fn(lo), fn(hi)
+def _bisect(fn: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float) -> float:
+    """A zero of ``fn`` in [lo, hi], whose ends have the values flo and fhi
+    of opposite signs (the scan's)."""
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -50,23 +51,25 @@ def scan_zeros(fn: Callable, lo: float, hi: float, n_scan: int = 10_000) -> list
     ``np.linspace(lo, hi, n_scan)`` grid at a time, then on single floats
     while bisecting. Exact zeros at grid points are kept; sign changes
     between neighbouring points, across block boundaries too, are refined
-    by bisection; roots closer than ``ROOT_SPACING`` are deduplicated.
+    by bisection, which starts from the scan's values at the bracket's
+    ends; roots closer than ``ROOT_SPACING`` are deduplicated.
     Returned sorted ascending.
     """
     grid = np.linspace(lo, hi, n_scan)
     scalar = lambda y: float(fn(float(y)))  # noqa: E731
     zeros: list[float] = []
     bracketed: list[float] = []
-    last = grid[:0]  # sign of the point before the block (none for the first)
+    last = np.empty((2, 0))  # sign and value of the point before the block (none for the first)
     for start in range(0, n_scan, SCAN_BLOCK_POINTS):
         block = grid[start:start + SCAN_BLOCK_POINTS]
         vals = np.asarray(fn(block), dtype=float)
         zeros.extend(float(y) for y in block[vals == 0.0])
-        sign = np.concatenate((last, np.sign(vals)))
-        first = start - last.size  # grid index of sign[0]
-        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0] + first:
-            bracketed.append(_bisect(scalar, float(grid[i]), float(grid[i + 1])))
-        last = sign[-1:]
+        sign, value = np.concatenate((last, [np.sign(vals), vals]), axis=1)
+        first = start - last.shape[1]  # grid index of sign[0]
+        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+            bracketed.append(_bisect(scalar, float(grid[first + i]), float(grid[first + i + 1]),
+                                     float(value[i]), float(value[i + 1])))
+        last = np.array([sign[-1:], value[-1:]])
 
     roots = sorted(zeros + bracketed)
     dedup: list[float] = []

@@ -45,25 +45,39 @@ the same value for a float as for a one-element array: arithmetic and numpy
 ufuncs do, while Python's ``**`` on floats rounds differently from
 ``np.power`` (write ``y * y`` or ``np.power(y, m)``).
 
-Beside ``update``, ``checked_map`` builds a block loop, ``advance(state, h,
-n, store)``: n steps, each state passed to ``store``, the last one returned.
+Beside ``update``, each map has a block loop, ``advance(state, h, n,
+store)``: n steps, each state passed to ``store``, the last one returned.
 It hangs on the ``update`` it was built with, as ``update.advance``, and
 ``integrate`` calls it once per block of about ``FOLD_BLOCK_FLOATS`` floats.
 Once per block it checks that h is a finite Python float > 0 and that the
 state is in the float kernel's form (a Python float, or a tuple of them for
-a system); otherwise it calls ``update`` step by step. Per step it keeps
-what ``update`` does there: the sign rule of a positive map, the float
-kernel, the rerun on the array path of a step whose float arithmetic raises
-(the next step runs on floats again), and for a tuple the state adapter's
-type check, so every step takes the path ``update`` would give it and
-returns its bits. The sign rule, the kernel call and the rerun are written
-once, in the step that ``update`` and the block loop share. The positivity
-lemma above would let a weighted map check the sign of a block's start only;
-every step still checks it, as every map's ``update`` does. A map whose
+a system); otherwise it calls ``update`` step by step. A map whose
 ``update`` was replaced (``dataclasses.replace``; a ``functools.wraps``
 wrapper, which copies the attribute, too) or that was built from a bare
 ``update`` (the RK4 references) has no block loop of its own: ``integrate``
 folds it one ``update`` call per step.
+
+``update``'s float path and the block loop are generated from one source
+template (``_LOOP`` around ``_STEP``) and compiled once per kernel kind,
+never per map. The template holds the per-step contract: the sign rule of
+a positive map, the float kernel, the rerun on the array path of a step
+whose float arithmetic raises (the next step runs on floats again), and
+for a tuple the form check (``_TUPLE_STEP``: ``floats(x) is x``, otherwise
+the step runs on the array path), so every step takes the path ``update``
+would give it and returns its bits. A kernel is either called per step
+(Python-float or tuple states) or, for the weighted scalar map, spliced in
+as text (``_WEIGHTED``): f_minus, the rate (derived from the step's own f'
+and f_minus, or the rate function's value), ``h * phim(h * lam)``, f,
+f_plus, the f = 0 rule and the update. Each formula there is spliced from
+the source of the function that writes it (``derived_rate``, ``phim``'s
+float branch, ``weighted_step`` with ``weighted_update``; ``_spliced``),
+so it keeps one written form, and the callables and operations run in the
+order those functions run them, so the bits are theirs. The code is
+compiled under a file name ``<nsfd.schemes float loop, kernel=weighted>``
+(``call``, ``tuple loop``) in a scope named ``nsfd.schemes``, with its
+source in ``linecache``, as the RK4 loop is. The positivity lemma above
+would let a weighted map check the sign of a block's start only; every
+step still checks it, as every map's ``update`` does.
 
 Each step map is bound once. ``nsfd_step_map`` binds the model callables,
 the weights and the rate function; with a rate derived from the step's own
@@ -85,11 +99,15 @@ expressions in their usual order, F four times per substep.
 
 from __future__ import annotations
 
+import ast
 import linecache
 import math
+import re
+import textwrap
 import warnings
 from dataclasses import dataclass, replace
 from functools import cache, partial
+from types import FunctionType
 from typing import Callable
 
 import numpy as np
@@ -149,9 +167,17 @@ def checked_map(label: str, float_step: Callable, array_step: Callable, positive
     the array path, and ``lanes(state)`` gives the array kernel's; either
     raises on a state it refuses. A float-path state that ``floats`` built
     (from a system's (dim,) array) comes back as an array. The float kernel
-    returns a Python float, or a tuple for a system. ``update.advance`` is
-    the block loop of the module docstring.
+    returns a Python float, or a tuple for a system. ``update``'s float
+    path and its block loop ``update.advance`` are the generated loop of
+    the module docstring, calling ``float_step``.
     """
+    return _checked(label, array_step, positive, kind, floats, lanes, "call", float_step=float_step)
+
+
+def _checked(label: str, array_step: Callable, positive: bool, kind: type | None,
+             floats: Callable, lanes: Callable, kernel: str, **bound) -> StepMap:
+    """``checked_map`` whose float path is the loop of ``kernel``
+    (``_float_loop``) bound to ``bound``."""
 
     # one errstate over the whole path; a decorator costs half a ``with``
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")
@@ -165,40 +191,8 @@ def checked_map(label: str, float_step: Callable, array_step: Callable, positive
             return float(out)
         return tuple(out.tolist()) if isinstance(state, tuple) and out.ndim == 1 else out
 
-    def on_floats(x, h):
-        # one step of a state in the float kernel's form at a checked h: a
-        # least component >= 0 rules out a negative (a nan first fails it)
-        if positive and not (x if type(x) is float else min(x)) >= 0.0:
-            _check_sign(x, label)
-        try:
-            return float_step(x, h)
-        except (OverflowError, ZeroDivisionError):
-            return on_arrays(x, h)  # numpy returns inf/nan here
-
-    def update(state, h):
-        x = state if type(state) is kind else floats(state)
-        if x is None or type(h) is not float or not 0.0 < h < math.inf:
-            return on_arrays(state, h)  # for a bad h: the sign rule, then NonPositiveStep
-        out = on_floats(x, h)
-        return out if x is state else np.array(out)
-
-    # a float kernel returns a Python float; a tuple it returns goes through
-    # ``floats`` again, as ``update`` would send it
-    each = on_floats if kind is float else (
-        lambda x, h: on_floats(x, h) if floats(x) is x else on_arrays(x, h))
-
-    def advance(state, h, n, store):
-        if type(h) is not float or not 0.0 < h < math.inf or (
-                type(state) is not kind and floats(state) is not state):
-            return _fold(update, state, h, n, store)
-        for _ in range(n):
-            state = each(state, h)
-            store(state)
-        return state
-
-    advance.update = update
-    update.advance = advance
-    return StepMap(label=label, update=update)
+    bind = _float_loop(kernel, kind is float)
+    return StepMap(label=label, update=bind(label, positive, kind, floats, on_arrays, **bound))
 
 
 def _fold(update: Callable, state, h, n: int, store: Callable):
@@ -209,13 +203,185 @@ def _fold(update: Callable, state, h, n: int, store: Callable):
     return state
 
 
+#: one step on the float path from x, a state in the float kernel's form,
+#: to x1: the sign rule of a positive map, then the kernel, whose step
+#: reruns on the array path where float arithmetic raises
+_STEP = """\
+if positive and not {low} >= 0.0:  # a nan fails it too, and passes the sign rule
+    _check_sign(x, label)
+try:
+    {kernel}
+except (OverflowError, ZeroDivisionError):
+    x1 = on_arrays(x, h)  # numpy returns inf/nan here"""
+
+#: a step of a tuple's block loop: a tuple the kernel returned passes the
+#: form check (``update`` would send it through ``floats``), or the step
+#: runs on the array path
+_TUPLE_STEP = """\
+if floats(x) is x:
+    {step}
+else:
+    x1 = on_arrays(x, h)"""
+
+#: ``update`` and its block loop ``advance`` around ``_STEP``; a block
+#: loop step (``{each}``) is ``_STEP`` for a Python float, always in the
+#: kernel's form, and ``_TUPLE_STEP`` for a tuple
+_LOOP = """\
+def bind(label, positive, kind, floats, on_arrays, {names}):
+    def update(state, h):
+        x = state if type(state) is kind else floats(state)
+        if x is None or type(h) is not float or not 0.0 < h < inf:
+            return on_arrays(state, h)  # for a bad h: the sign rule, then NonPositiveStep
+        {step}
+        return x1 if x is state else array(x1)
+
+    def advance(state, h, n, store):
+        if type(h) is not float or not 0.0 < h < inf or (
+                type(state) is not kind and floats(state) is not state):
+            return _fold(update, state, h, n, store)
+        x = state
+        for _ in range(n):
+            {each}
+            store(x1)
+            x = x1
+        return x
+
+    update.advance = advance
+    advance.update = update
+    return update
+"""
+
+#: ``nsfd_step_map``'s float kernel, from x and h to x1: the callables in
+#: this order, and each formula spliced from the function that writes it
+_WEIGHTED = """\
+fm = float(f_minus(x))
+if shared:
+    {rate}
+else:
+    lam = float(spec(x))
+F = f(x)  # only compared with zero, so it need not be a Python float
+arg = h * lam
+{phim}
+ph = h * p
+fp = float(f_plus(x))
+{update}"""
+
+#: a field of a template: alone on its line (a block, indented as the
+#: field is), or inline
+_FIELD = re.compile(r"^( *)\{(\w+)\}$|\{(\w+)\}", re.M)
+
+
+def _fill(template: str, **fields: str) -> str:
+    """``template`` with its fields replaced by ``fields``."""
+    return _FIELD.sub(lambda m: textwrap.indent(fields[m[2]], m[1]) if m[2] else fields[m[3]],
+                      template)
+
+
+@cache
+def _float_loop(kernel: str, scalar: bool) -> Callable:
+    """``bind(label, positive, kind, floats, on_arrays, **bound)``, which
+    gives a map's ``update`` with its block loop ``update.advance``:
+    ``_LOOP`` around ``_STEP`` for Python-float states (``scalar``) or
+    tuples of them, with the float kernel ``kernel``. "call" calls the
+    map's ``float_step``; "weighted" is ``_WEIGHTED`` on the model
+    callables and weights of ``nsfd_step_map``. Generated and compiled once
+    per kind, like ``_rk4_loop``; the splices read the package's source files."""
+    scope = {"inf": math.inf, "array": np.array, "_check_sign": _check_sign, "_fold": _fold}
+    if kernel == "weighted":
+        names = "f, df, f_plus, f_minus, spec, shared, rate_beta, alpha, beta"
+        text = _fill(_WEIGHTED,
+                     rate=_spliced(derived_rate, "lam", scope, df="float(df(x))", beta="rate_beta"),
+                     phim=_spliced(phim, "p", scope, x="arg"),
+                     update=_spliced(weighted_step, "x1", scope))
+    else:
+        names, text = "float_step", "x1 = float_step(x, h)"
+    step = _fill(_STEP, low="x" if scalar else "min(x)", kernel=text)
+    each = step if scalar else _fill(_TUPLE_STEP, step=step)
+    source = _fill(_LOOP, names=names, step=step, each=each)
+    state = "float" if scalar else "tuple"
+    return _compiled(source, f"<nsfd.schemes {state} loop, kernel={kernel}>", "bind", scope)
+
+
+def _compiled(source: str, filename: str, name: str, scope: dict) -> Callable:
+    """``name`` as ``source`` defines it, compiled under ``filename`` in
+    ``scope``, named ``nsfd.schemes``, with the source in ``linecache``, so
+    tracebacks show its lines and warning filters on the package apply."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    scope["__name__"] = __name__
+    exec(compile(source, filename, "exec"), scope)
+    return scope[name]
+
+
+def _body(fn: Callable) -> tuple[list, list]:
+    """The parameter names of ``fn``, a function at a module's top level,
+    and its statements, the docstring left out: from its lines of source,
+    which end before the next line at the margin."""
+    lines = linecache.getlines(fn.__code__.co_filename)[fn.__code__.co_firstlineno - 1:]
+    end = next((i for i, line in enumerate(lines) if i and line[:1].strip()), len(lines))
+    node = ast.parse("".join(lines[:end])).body[0]
+    return [a.arg for a in node.args.args], node.body[1:] if ast.get_docstring(node) else node.body
+
+
+def _spliced(fn: Callable, out: str, scope: dict, **args: str) -> str:
+    """The statements of ``fn`` on a Python float, as text that assigns to
+    ``out`` what ``fn`` returns. A parameter named in ``args`` reads that
+    expression instead (a name, where ``fn`` assigns to it); the others
+    keep their names. A call of a function whose body is one ``return`` is
+    replaced by its expression, with the call's arguments (names) for its
+    parameters. A leading ``if type(x) is not float:`` block, the dispatch
+    of a function that takes arrays too, is left out. The globals the text
+    reads go into ``scope``."""
+    params, body = _body(fn)
+    if isinstance(body[0], ast.If) and ast.unparse(body[0].test) == f"type({params[0]}) is not float":
+        body = body[1:]
+    splice = _Splice(fn, {name: ast.parse(expr, mode="eval").body for name, expr in args.items()},
+                     scope)
+    return ast.unparse(ast.Module(_assigning([splice.visit(s) for s in body], out), []))
+
+
+class _Splice(ast.NodeTransformer):
+    """The rewrite of ``_spliced`` over the statements of ``fn``."""
+
+    def __init__(self, fn: Callable, args: dict, scope: dict):
+        self.fn, self.args, self.scope = fn, args, scope
+
+    def visit_Name(self, node):
+        if node.id in self.args:
+            arg = self.args[node.id]
+            return arg if isinstance(node.ctx, ast.Load) else ast.Name(arg.id, node.ctx)
+        if node.id in self.fn.__globals__:
+            self.scope[node.id] = self.fn.__globals__[node.id]
+        return node
+
+    def visit_Call(self, node):
+        callee = self.fn.__globals__.get(getattr(node.func, "id", None))
+        params, body = _body(callee) if isinstance(callee, FunctionType) else ((), ())
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            return self.generic_visit(node)
+        args = dict(zip(params, (self.visit(a) for a in node.args)))
+        return _Splice(callee, args, self.scope).visit(body[0].value)
+
+
+def _assigning(body: list, out: str) -> list:
+    """``body`` with each ``return e`` made ``out = e``: the statements after
+    an ``if`` whose block ends in a return move into its ``else``."""
+    for i, node in enumerate(body):
+        if isinstance(node, ast.Return):
+            return body[:i] + [ast.Assign([ast.Name(out, ast.Store())], node.value, lineno=0)]
+        if isinstance(node, ast.If) and not node.orelse and isinstance(node.body[-1], ast.Return):
+            return body[:i] + [ast.If(node.test, _assigning(node.body, out),
+                                      _assigning(body[i + 1:], out))]
+    return body
+
+
 def weighted_update(y, ph, fp, fm, alpha: float, beta: float):
     """y1 = (y + ph*fp + ph*alpha*y*fm) / (1 - ph*beta*fm), on floats or arrays."""
     return (y + ph * fp + ph * (alpha * y * fm)) / (1.0 - ph * beta * fm)
 
 
 def weighted_step(x, F, ph, fp, fm, alpha: float, beta: float):
-    """x where F = f(x) is zero, ``weighted_update`` elsewhere, on floats."""
+    """x where F = f(x) is zero, ``weighted_update`` elsewhere, on floats
+    (spliced, with ``weighted_update``, into the weighted map's float loop)."""
     return x if F == 0.0 else weighted_update(x, ph, fp, fm, alpha, beta)
 
 
@@ -246,13 +412,8 @@ def nsfd_step_map(
     alpha, beta = config.alpha, config.beta
     source = derived_from(spec)
     shared = source is not None and source[0] is problem and source[1] is rep
-    rate_beta = source[2] if shared else None
-
-    def on_floats(y, h):
-        fm = float(f_minus(y))
-        lam = derived_rate(float(df(y)), fm, rate_beta) if shared else float(spec(y))
-        # f(y) is only compared with zero, so it need not be a Python float
-        return weighted_step(y, f(y), h * phim(h * lam), float(f_plus(y)), fm, alpha, beta)
+    # a Python float, so that the float kernel's rate is one
+    rate_beta = float(source[2]) if shared else None
 
     def on_arrays(y, h):
         fm = np.asarray(f_minus(y), dtype=float)
@@ -262,7 +423,10 @@ def nsfd_step_map(
         return weighted_step_array(y, np.asarray(f(y), dtype=float), ph,
                                    np.asarray(f_plus(y), dtype=float), fm, alpha, beta)
 
-    return checked_map(config.label or "nsfd", on_floats, on_arrays, positive=True)
+    return _checked(config.label or "nsfd", on_arrays, True, float, lambda state: None,
+                    partial(np.asarray, dtype=float), "weighted", f=f, df=df, f_plus=f_plus,
+                    f_minus=f_minus, spec=spec, shared=shared, rate_beta=rate_beta, alpha=alpha,
+                    beta=beta)
 
 
 def euler_map(problem: ScalarProblem) -> StepMap:
@@ -453,11 +617,7 @@ def rk4(F, y, t_end, n):
         {y} = {each("y{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})")}
     return ({y})
 """
-    filename = f"<nsfd.schemes rk4, dim={dim}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    scope = {"__name__": __name__}
-    exec(compile(source, filename, "exec"), scope)
-    return scope["rk4"]
+    return _compiled(source, f"<nsfd.schemes rk4, dim={dim}>", "rk4", {})
 
 
 def reference_solution(

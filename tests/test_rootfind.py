@@ -28,7 +28,8 @@ def one_shot_scan(fn, lo, hi, n_scan):
     sign = np.sign(vals)
     scalar = lambda y: float(fn(float(y)))  # noqa: E731
     for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        roots.append(_bisect(scalar, float(grid[i]), float(grid[i + 1])))
+        roots.append(_bisect(scalar, float(grid[i]), float(grid[i + 1]),
+                             float(vals[i]), float(vals[i + 1])))
     roots.sort()
     dedup = []
     for r in roots:
@@ -106,6 +107,22 @@ class TestBlockBoundaries:
                 lambda y: np.asarray(update(y, h), dtype=float) - np.asarray(y, dtype=float),
                 max(lo, 0.0), hi, 100_000)
             assert _bits(streamed) == _bits(reference)
+
+
+def test_a_bracket_starts_from_the_scan_values_at_its_ends():
+    # the 1e-4 bracket is halved until |f| <= 0.01 * ROOT_RESIDUAL: 32
+    # midpoints, and no second call at either end
+    calls = []
+
+    def fn(y):
+        if isinstance(y, float):
+            calls.append(y)
+        return y - 0.3
+
+    assert scan_zeros(fn, 0.0, 1.0, 10_000) == [0.2999999999999954]
+    assert len(calls) == 32 and len(set(calls)) == 32
+    grid = np.linspace(0.0, 1.0, 10_000)
+    assert not set(calls) & {float(y) for y in grid}
 
 
 def test_scan_memory_is_about_one_grid():
