@@ -29,11 +29,12 @@ step forms h * phim(h * lam) from the rate it has evaluated itself.
 
 A derived rate records what it was derived from: ``derived_denominator``
 returns a partial holding ``(problem, rep, beta)``, and ``derived_from``
-reads them back. The expression -f' + 2*beta*f_minus is written once, in
-``derived_rate``, which takes the values of f' and f_minus. The weighted
-step (``schemes.nsfd_step_map``) calls it with its own f_minus value when
-the rate was derived from the step's own problem and representation, so a
-step evaluates f_minus once for the rate and the update together.
+reads them back. The expression -f' + 2*beta*f_minus is written in
+``derived_rate``, which takes the values of f' and f_minus, and in the
+weighted map's float loop. The weighted step (``schemes.nsfd_step_map``)
+evaluates it with its own f_minus value when the rate was derived from the
+step's own problem and representation, so a step evaluates f_minus once
+for the rate and the update together.
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ def phim(x):
     result is a Python float either way. The float branch calls numpy's
     expm1 (``_expm1``, bound once), not ``math.expm1``: the two differ in
     the last bit for some arguments, and the array branch uses numpy's.
-    The weighted map's float loop splices the float branch, the statements
-    after the dispatch, as text (``schemes._spliced``): a return there ends
-    an ``if`` block or the body.
+    The weighted map's float loop writes the float branch out in its
+    template (``schemes._WEIGHTED``), and tests hold the two to each other
+    bit for bit.
 
     The array branch runs expm1 on every element and then writes the series
     over the lanes with |x| < ``SERIES_CUTOFF`` only, when there are any. It
@@ -124,8 +125,8 @@ def check_step(h) -> None:
 
 def derived_rate(df, fm, beta: float):
     """The derived rate -f'(y) + 2*beta*f_minus(y) from the values df = f'(y)
-    and fm = f_minus(y); the one place this expression is written (the
-    weighted map's float loop splices it)."""
+    and fm = f_minus(y), on floats or arrays (the weighted map's float
+    loop writes it out in its template, ``schemes._WEIGHTED``)."""
     return -df + 2.0 * beta * fm
 
 

@@ -23,12 +23,9 @@ SCAN_BLOCK_POINTS = 4096
 
 
 def _bisect(fn: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float) -> float:
-    """A zero of ``fn`` in [lo, hi], whose ends have the values flo and fhi
-    of opposite signs (the scan's)."""
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
+    """A zero of ``fn`` in [lo, hi], whose ends have the values flo and fhi,
+    nonzero and of opposite signs (the scan's: it brackets a sign change
+    only between two nonzero values, and keeps an exact zero itself)."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:

@@ -12,10 +12,10 @@ alpha <= 0 <= beta, signed zeros, subnormals and infinities included,
 ``weighted_update`` returns a result >= 0 or nan. Each term of the numerator
 is a product of factors of known sign, so it is >= 0 or nan (inf * 0); a sum
 of such terms is too, and the denominator 1 - ph*beta*f_minus is >= 1 or
-nan. Rounding never flips a sign. Every weighted step ends
-in ``weighted_step`` on floats or ``weighted_step_array`` on arrays, which
-keep a point with f(y) = 0 exactly and apply ``weighted_update``, the one
-place the formula is written, elsewhere.
+nan. Rounding never flips a sign. A weighted step keeps a point with
+f(y) = 0 exactly and applies ``weighted_update`` elsewhere: on floats in
+``weighted_step``, on arrays in ``weighted_step_array``, and in the weighted
+map's float loop, whose template writes the same expression (below).
 
 Baselines from the comparison experiments live here too: explicit Euler,
 Heun's method (the RK2 variant used throughout), the branching
@@ -65,14 +65,14 @@ whose float arithmetic raises (the next step runs on floats again), and
 for a tuple the form check (``_TUPLE_STEP``: ``floats(x) is x``, otherwise
 the step runs on the array path), so every step takes the path ``update``
 would give it and returns its bits. A kernel is either called per step
-(Python-float or tuple states) or, for the weighted scalar map, spliced in
-as text (``_WEIGHTED``): f_minus, the rate (derived from the step's own f'
-and f_minus, or the rate function's value), ``h * phim(h * lam)``, f,
-f_plus, the f = 0 rule and the update. Each formula there is spliced from
-the source of the function that writes it (``derived_rate``, ``phim``'s
-float branch, ``weighted_step`` with ``weighted_update``; ``_spliced``),
-so it keeps one written form, and the callables and operations run in the
-order those functions run them, so the bits are theirs. The code is
+(Python-float or tuple states) or, for the weighted scalar map, written
+into the template (``_WEIGHTED``), as the RK4 loop's formula is written
+into its own: f_minus, the rate (derived from the step's own f' and
+f_minus, or the rate function's value), ``h * phim(h * lam)``, f, f_plus,
+the f = 0 rule and the update. Its callables and operations run in the
+order ``derived_rate``, ``phim``'s float branch and ``weighted_step`` run
+them, so the bits are theirs; the tests hold the loop to that composition
+bit for bit, as they hold the RK4 loop to an independent one. The code is
 compiled under a file name ``<nsfd.schemes float loop, kernel=weighted>``
 (``call``, ``tuple loop``) in a scope named ``nsfd.schemes``, with its
 source in ``linecache``, as the RK4 loop is. The positivity lemma above
@@ -99,7 +99,6 @@ expressions in their usual order, F four times per substep.
 
 from __future__ import annotations
 
-import ast
 import linecache
 import math
 import re
@@ -107,12 +106,11 @@ import textwrap
 import warnings
 from dataclasses import dataclass, replace
 from functools import cache, partial
-from types import FunctionType
 from typing import Callable
 
 import numpy as np
 
-from .denominator import check_step, derived_from, derived_rate, phim
+from .denominator import ARG_FLOOR, SERIES_CUTOFF, check_step, derived_from, derived_rate, phim
 from .errors import (
     BadHorizon,
     NegativeState,
@@ -251,20 +249,28 @@ def bind(label, positive, kind, floats, on_arrays, {names}):
     return update
 """
 
-#: ``nsfd_step_map``'s float kernel, from x and h to x1: the callables in
-#: this order, and each formula spliced from the function that writes it
+#: ``nsfd_step_map``'s float kernel, from x and h to x1: f_minus, the rate
+#: (``derived_rate`` on the step's own f' and f_minus, or the rate
+#: function's value), ``h * phim(h * lam)`` (``phim``'s float branch), f,
+#: f_plus, and ``weighted_step`` with ``weighted_update``; the callables and
+#: operations in the order those functions run them
 _WEIGHTED = """\
 fm = float(f_minus(x))
 if shared:
-    {rate}
+    lam = -float(df(x)) + 2.0 * rate_beta * fm
 else:
     lam = float(spec(x))
 F = f(x)  # only compared with zero, so it need not be a Python float
 arg = h * lam
-{phim}
+if -SERIES_CUTOFF < arg < SERIES_CUTOFF:
+    p = 1.0 - arg / 2.0 + arg * arg / 6.0 - arg * arg * arg / 24.0
+else:
+    if arg < ARG_FLOOR:
+        arg = ARG_FLOOR
+    p = -float(_expm1(-arg)) / arg
 ph = h * p
 fp = float(f_plus(x))
-{update}"""
+x1 = x if F == 0.0 else (x + ph * fp + ph * (alpha * x * fm)) / (1.0 - ph * beta * fm)"""
 
 #: a field of a template: alone on its line (a block, indented as the
 #: field is), or inline
@@ -285,14 +291,12 @@ def _float_loop(kernel: str, scalar: bool) -> Callable:
     tuples of them, with the float kernel ``kernel``. "call" calls the
     map's ``float_step``; "weighted" is ``_WEIGHTED`` on the model
     callables and weights of ``nsfd_step_map``. Generated and compiled once
-    per kind, like ``_rk4_loop``; the splices read the package's source files."""
-    scope = {"inf": math.inf, "array": np.array, "_check_sign": _check_sign, "_fold": _fold}
+    per kind, like ``_rk4_loop``, from the templates alone: no source file
+    of the package is read."""
+    scope = {"inf": math.inf, "array": np.array, "_check_sign": _check_sign, "_fold": _fold,
+             "SERIES_CUTOFF": SERIES_CUTOFF, "ARG_FLOOR": ARG_FLOOR, "_expm1": np.expm1}
     if kernel == "weighted":
-        names = "f, df, f_plus, f_minus, spec, shared, rate_beta, alpha, beta"
-        text = _fill(_WEIGHTED,
-                     rate=_spliced(derived_rate, "lam", scope, df="float(df(x))", beta="rate_beta"),
-                     phim=_spliced(phim, "p", scope, x="arg"),
-                     update=_spliced(weighted_step, "x1", scope))
+        names, text = "f, df, f_plus, f_minus, spec, shared, rate_beta, alpha, beta", _WEIGHTED
     else:
         names, text = "float_step", "x1 = float_step(x, h)"
     step = _fill(_STEP, low="x" if scalar else "min(x)", kernel=text)
@@ -312,68 +316,6 @@ def _compiled(source: str, filename: str, name: str, scope: dict) -> Callable:
     return scope[name]
 
 
-def _body(fn: Callable) -> tuple[list, list]:
-    """The parameter names of ``fn``, a function at a module's top level,
-    and its statements, the docstring left out: from its lines of source,
-    which end before the next line at the margin."""
-    lines = linecache.getlines(fn.__code__.co_filename)[fn.__code__.co_firstlineno - 1:]
-    end = next((i for i, line in enumerate(lines) if i and line[:1].strip()), len(lines))
-    node = ast.parse("".join(lines[:end])).body[0]
-    return [a.arg for a in node.args.args], node.body[1:] if ast.get_docstring(node) else node.body
-
-
-def _spliced(fn: Callable, out: str, scope: dict, **args: str) -> str:
-    """The statements of ``fn`` on a Python float, as text that assigns to
-    ``out`` what ``fn`` returns. A parameter named in ``args`` reads that
-    expression instead (a name, where ``fn`` assigns to it); the others
-    keep their names. A call of a function whose body is one ``return`` is
-    replaced by its expression, with the call's arguments (names) for its
-    parameters. A leading ``if type(x) is not float:`` block, the dispatch
-    of a function that takes arrays too, is left out. The globals the text
-    reads go into ``scope``."""
-    params, body = _body(fn)
-    if isinstance(body[0], ast.If) and ast.unparse(body[0].test) == f"type({params[0]}) is not float":
-        body = body[1:]
-    splice = _Splice(fn, {name: ast.parse(expr, mode="eval").body for name, expr in args.items()},
-                     scope)
-    return ast.unparse(ast.Module(_assigning([splice.visit(s) for s in body], out), []))
-
-
-class _Splice(ast.NodeTransformer):
-    """The rewrite of ``_spliced`` over the statements of ``fn``."""
-
-    def __init__(self, fn: Callable, args: dict, scope: dict):
-        self.fn, self.args, self.scope = fn, args, scope
-
-    def visit_Name(self, node):
-        if node.id in self.args:
-            arg = self.args[node.id]
-            return arg if isinstance(node.ctx, ast.Load) else ast.Name(arg.id, node.ctx)
-        if node.id in self.fn.__globals__:
-            self.scope[node.id] = self.fn.__globals__[node.id]
-        return node
-
-    def visit_Call(self, node):
-        callee = self.fn.__globals__.get(getattr(node.func, "id", None))
-        params, body = _body(callee) if isinstance(callee, FunctionType) else ((), ())
-        if len(body) != 1 or not isinstance(body[0], ast.Return):
-            return self.generic_visit(node)
-        args = dict(zip(params, (self.visit(a) for a in node.args)))
-        return _Splice(callee, args, self.scope).visit(body[0].value)
-
-
-def _assigning(body: list, out: str) -> list:
-    """``body`` with each ``return e`` made ``out = e``: the statements after
-    an ``if`` whose block ends in a return move into its ``else``."""
-    for i, node in enumerate(body):
-        if isinstance(node, ast.Return):
-            return body[:i] + [ast.Assign([ast.Name(out, ast.Store())], node.value, lineno=0)]
-        if isinstance(node, ast.If) and not node.orelse and isinstance(node.body[-1], ast.Return):
-            return body[:i] + [ast.If(node.test, _assigning(node.body, out),
-                                      _assigning(body[i + 1:], out))]
-    return body
-
-
 def weighted_update(y, ph, fp, fm, alpha: float, beta: float):
     """y1 = (y + ph*fp + ph*alpha*y*fm) / (1 - ph*beta*fm), on floats or arrays."""
     return (y + ph * fp + ph * (alpha * y * fm)) / (1.0 - ph * beta * fm)
@@ -381,13 +323,14 @@ def weighted_update(y, ph, fp, fm, alpha: float, beta: float):
 
 def weighted_step(x, F, ph, fp, fm, alpha: float, beta: float):
     """x where F = f(x) is zero, ``weighted_update`` elsewhere, on floats
-    (spliced, with ``weighted_update``, into the weighted map's float loop)."""
+    (written out, with ``weighted_update``, in ``_WEIGHTED`` too)."""
     return x if F == 0.0 else weighted_update(x, ph, fp, fm, alpha, beta)
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def weighted_step_array(x, F, ph, fp, fm, alpha, beta):
-    """``weighted_step`` lane by lane, silent where numpy returns inf or nan."""
+    """``weighted_step`` lane by lane. It enters no ``np.errstate`` of its
+    own: both of its callers run it on the array path of a step map, under
+    that path's one ``errstate``, silent where numpy returns inf or nan."""
     out = weighted_update(x, ph, fp, fm, alpha, beta)
     return out if F.all() else np.where(F == 0.0, x, out)  # nan counts as nonzero
 

@@ -284,6 +284,13 @@ class TestStabilityAudit:
         assert not report.passed
         assert any(abs(s - 1.2) < 1e-6 for s in report.spurious)
 
+    def test_needs_the_family_or_a_step_map(self):
+        p, b = get_problem("logistic"), get_scheme("logistic", "snsfd1")
+        # none of the weighted family's three, or only some of them, and no map
+        for given in ({}, dict(rep=b.rep, config=b.config), dict(config=b.config, spec=b.spec)):
+            with pytest.raises(ValueError, match=r"need either \(rep, config, spec\) or step_map"):
+                elementary_stability_audit(p, [1.25], scan_points=2000, **given)
+
     def test_exact_flow_map_always_passes(self):
         # sanity anchor: the exact one-step flow is elementary stable
         p = get_problem("logistic")

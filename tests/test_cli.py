@@ -605,3 +605,20 @@ def test_positivity_failure_forces_nonzero_exit(monkeypatch):
     monkeypatch.setattr(cli, "problem_names", lambda: ["logistic"])
     monkeypatch.setattr(cli, "scheme_bundles", lambda name: {"lying-euler": lying})
     assert main(["audit", "--samples", "16", "--steps", "50", "--scan", "2000"]) == 1
+
+
+def test_stability_failure_forces_nonzero_exit(monkeypatch, capsys):
+    # RK2 claimed elementary stable: |J| > 1 at the stable equilibrium for
+    # h >= 1.25, and fixed points that are no equilibria
+    import nsfd.cli as cli
+
+    rk2 = get_scheme("logistic", "rk2")
+    lying = SchemeBundle(step=rk2.step, elementary_stable=True)
+    monkeypatch.setattr(cli, "problem_names", lambda: ["logistic"])
+    monkeypatch.setattr(cli, "scheme_bundles", lambda name: {"lying-rk2": lying})
+    assert main(["audit", "--samples", "8", "--steps", "50", "--scan", "2000"]) == 1
+    out, err = capsys.readouterr()
+    assert "[stability] logistic/lying-rk2: FAIL: rk2: |J| vs stability type" in out
+    assert "  y* = 2 (stable), h = 1.25: J = 1.625 [INCONSISTENT]" in out
+    assert "  spurious fixed points: ['1.2', '2.4'," in out
+    assert "logistic/lying-rk2: elementary stability violated" in err

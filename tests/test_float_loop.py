@@ -1,23 +1,35 @@
-"""The generated float loop of the weighted scalar map against the
-composition of the library's functions it was spliced from, bit for bit,
-and the generated code's file names, lines and warning module.
+"""The generated float loop of the weighted scalar map, whose kernel is
+written in its template (``schemes._WEIGHTED``), held bit for bit to the
+composition of the library's functions that write the same formulas
+(``derived_rate``, ``phim``, ``weighted_step``), as
+``test_systems.TestRk4Loop`` holds the RK4 loop to an independent one; the
+generated code's file names, lines and warning module; and a bytecode-only
+copy of the package, which builds its loops from the templates alone.
 """
 
+import compileall
 import math
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nsfd
 from nsfd.cli import TABLE2_H_FULL
 from nsfd.denominator import ARG_FLOOR, SERIES_CUTOFF, constant_rate
 from nsfd.model import SchemeConfig
 from nsfd.problems import get_problem, get_scheme, problem_names, scheme_bundles
 from nsfd.schemes import FOLD_BLOCK_FLOATS, integrate, nsfd_step_map
-from nsfd.systems import get_system, second_order_config, system_step_map
+from nsfd.systems import DEFAULT_STARTS, get_system, second_order_config, system_step_map
 from scalar_helpers import reference_states, weighted_reference
 
 #: every registry map built by ``nsfd_step_map``: the bundles with
@@ -148,7 +160,7 @@ class TestGeneratedLoop:
             assert frame.frame.f_globals["__name__"] == "nsfd.schemes"
 
     def test_warnings_in_the_loop_are_the_packages(self):
-        # numpy-scalar weights overflow in the spliced update itself: the
+        # numpy-scalar weights overflow in the template's update itself: the
         # RuntimeWarning is the package's for a filter on "nsfd"
         problem, b = get_problem("logistic"), get_scheme("logistic", "snsfd1")
         config = SchemeConfig(alpha=np.float64(-0.25), beta=np.float64(1.25))
@@ -160,3 +172,40 @@ class TestGeneratedLoop:
                 with pytest.raises(RuntimeWarning, match="overflow") as info:
                     run()
                 assert str(info.traceback[-1].path) == "<nsfd.schemes float loop, kernel=weighted>"
+
+
+#: a fold of a weighted scalar map and of lv's order-2 map, the states'
+#: bytes in hex, one line each; run in this process and in a bytecode-only
+#: copy of the package
+FOLDS = textwrap.dedent("""\
+    import nsfd
+    from nsfd.problems import get_scheme, problem_names, scheme_bundles
+    from nsfd.schemes import integrate
+    from nsfd.systems import DEFAULT_STARTS, get_system, second_order_config, system_step_map
+    for name in problem_names():
+        scheme_bundles(name)
+    lv, sirs = (system_step_map(s, second_order_config(s)) for s in map(get_system, ("lv", "sirs")))
+    print(nsfd.__file__)
+    print(integrate(get_scheme("logistic", "snsfd1").step, 0.5, 0.01, 10.0).states.tobytes().hex())
+    print(integrate(lv, DEFAULT_STARTS["lv"], 0.01, 10.0).states.tobytes().hex())
+""")
+
+
+def test_a_bytecode_only_install_builds_and_runs_every_map(tmp_path):
+    # the package as a frozen application ships it: legacy .pyc files next
+    # to no source, so the loops must be built from the templates alone
+    package = tmp_path / "nsfd"
+    shutil.copytree(Path(nsfd.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert compileall.compile_dir(package, legacy=True, quiet=1)
+    for source in package.glob("*.py"):
+        source.unlink()
+    env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+    out = subprocess.run([sys.executable, "-c", FOLDS], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out[0] == str(package / "__init__.pyc")
+    logistic = integrate(get_scheme("logistic", "snsfd1").step, 0.5, 0.01, 10.0)
+    system = get_system("lv")
+    lv = integrate(system_step_map(system, second_order_config(system)), DEFAULT_STARTS["lv"],
+                   0.01, 10.0)
+    assert out[1:] == [logistic.states.tobytes().hex(), lv.states.tobytes().hex()]

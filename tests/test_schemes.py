@@ -743,9 +743,10 @@ KERNEL_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 
 
 
 def _kernel_on_one_lane(*args):
-    """``weighted_step_array`` on one-lane arrays, with every warning an error."""
+    """``weighted_step_array`` on one-lane arrays, with every warning an
+    error, under the ``np.errstate`` a step map's array path runs it in."""
     x, F, ph, fp, fm, alpha, beta = args
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         warnings.simplefilter("error")
         out = weighted_step_array(*(np.array([v]) for v in (x, F, ph, fp, fm)), alpha, beta)
     assert out.shape == (1,)
