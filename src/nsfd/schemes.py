@@ -51,7 +51,8 @@ It hangs on the ``update`` it was built with, as ``update.advance``, and
 ``integrate`` calls it once per block of about ``FOLD_BLOCK_FLOATS`` floats.
 Once per block it checks that h is a finite Python float > 0 and that the
 state is in the float kernel's form (a Python float, or a tuple of them for
-a system); otherwise it calls ``update`` step by step. A map whose
+a system); otherwise it calls ``update`` step by step. Within the block it
+trusts the kernel, which returns its state in that form. A map whose
 ``update`` was replaced (``dataclasses.replace``; a ``functools.wraps``
 wrapper, which copies the attribute, too) or that was built from a bare
 ``update`` (the RK4 references) has no block loop of its own: ``integrate``
@@ -60,10 +61,9 @@ folds it one ``update`` call per step.
 ``update``'s float path and the block loop are generated from one source
 template (``_LOOP`` around ``_STEP``) and compiled once per kernel kind,
 never per map. The template holds the per-step contract: the sign rule of
-a positive map, the float kernel, the rerun on the array path of a step
-whose float arithmetic raises (the next step runs on floats again), and
-for a tuple the form check (``_TUPLE_STEP``: ``floats(x) is x``, otherwise
-the step runs on the array path), so every step takes the path ``update``
+a positive map, the float kernel and the rerun on the array path of a step
+whose float arithmetic raises (the next step runs on floats again), the
+same for a float and a tuple, so every step takes the path ``update``
 would give it and returns its bits. A kernel is either called per step
 (Python-float or tuple states) or, for the weighted scalar map, written
 into the template (``_WEIGHTED``), as the RK4 loop's formula is written
@@ -153,27 +153,28 @@ def _check_sign(state, label: str) -> None:
 
 
 def checked_map(label: str, float_step: Callable, array_step: Callable, positive: bool,
-                kind: type | None = float, floats: Callable = lambda state: None,
+                floats: Callable | None = None,
                 lanes: Callable = partial(np.asarray, dtype=float)) -> StepMap:
     """The step map of ``float_step(x, h)``, one step on Python floats that
     raises where float arithmetic does, and ``array_step(s, h)``, the same
     step on a float array, under the contract of the module docstring;
     ``positive`` says whether states must be nonnegative. The state adapter
-    gives each path its form of a state: a state of exact type ``kind`` is
-    the float kernel's as it is (None: every state goes through
-    ``floats``), ``floats(state)`` gives it for any other state, or None for
-    the array path, and ``lanes(state)`` gives the array kernel's; either
+    gives each path its form of a state: without ``floats``, a Python float
+    is the float kernel's state and any other state takes the array path;
+    ``floats(state)`` gives it for any state (a system's), or None for the
+    array path, and ``lanes(state)`` gives the array kernel's; either
     raises on a state it refuses. A float-path state that ``floats`` built
     (from a system's (dim,) array) comes back as an array. The float kernel
-    returns a Python float, or a tuple for a system. ``update``'s float
-    path and its block loop ``update.advance`` are the generated loop of
-    the module docstring, calling ``float_step``.
+    returns its state in its own form, a Python float or a tuple of them,
+    and the block loop trusts it. ``update``'s float path and its block
+    loop ``update.advance`` are the generated loop of the module docstring,
+    calling ``float_step``.
     """
-    return _checked(label, array_step, positive, kind, floats, lanes, "call", float_step=float_step)
+    return _checked(label, array_step, positive, floats, lanes, "call", float_step=float_step)
 
 
-def _checked(label: str, array_step: Callable, positive: bool, kind: type | None,
-             floats: Callable, lanes: Callable, kernel: str, **bound) -> StepMap:
+def _checked(label: str, array_step: Callable, positive: bool, floats: Callable | None,
+             lanes: Callable, kernel: str, **bound) -> StepMap:
     """``checked_map`` whose float path is the loop of ``kernel``
     (``_float_loop``) bound to ``bound``."""
 
@@ -189,8 +190,8 @@ def _checked(label: str, array_step: Callable, positive: bool, kind: type | None
             return float(out)
         return tuple(out.tolist()) if isinstance(state, tuple) and out.ndim == 1 else out
 
-    bind = _float_loop(kernel, kind is float)
-    return StepMap(label=label, update=bind(label, positive, kind, floats, on_arrays, **bound))
+    bind = _float_loop(kernel, floats is None)
+    return StepMap(label=label, update=bind(label, positive, floats, on_arrays, **bound))
 
 
 def _fold(update: Callable, state, h, n: int, store: Callable):
@@ -212,34 +213,25 @@ try:
 except (OverflowError, ZeroDivisionError):
     x1 = on_arrays(x, h)  # numpy returns inf/nan here"""
 
-#: a step of a tuple's block loop: a tuple the kernel returned passes the
-#: form check (``update`` would send it through ``floats``), or the step
-#: runs on the array path
-_TUPLE_STEP = """\
-if floats(x) is x:
-    {step}
-else:
-    x1 = on_arrays(x, h)"""
-
-#: ``update`` and its block loop ``advance`` around ``_STEP``; a block
-#: loop step (``{each}``) is ``_STEP`` for a Python float, always in the
-#: kernel's form, and ``_TUPLE_STEP`` for a tuple
+#: ``update`` and its block loop ``advance`` around ``_STEP``; ``{form}``
+#: gives the state in the float kernel's form, or None for the array path,
+#: and a block loop step checks no form, as the kernel returns its state in
+#: that form
 _LOOP = """\
-def bind(label, positive, kind, floats, on_arrays, {names}):
+def bind(label, positive, floats, on_arrays, {names}):
     def update(state, h):
-        x = state if type(state) is kind else floats(state)
+        x = {form}
         if x is None or type(h) is not float or not 0.0 < h < inf:
             return on_arrays(state, h)  # for a bad h: the sign rule, then NonPositiveStep
         {step}
         return x1 if x is state else array(x1)
 
     def advance(state, h, n, store):
-        if type(h) is not float or not 0.0 < h < inf or (
-                type(state) is not kind and floats(state) is not state):
+        x = {form}
+        if x is not state or type(h) is not float or not 0.0 < h < inf:
             return _fold(update, state, h, n, store)
-        x = state
         for _ in range(n):
-            {each}
+            {step}
             store(x1)
             x = x1
         return x
@@ -285,7 +277,7 @@ def _fill(template: str, **fields: str) -> str:
 
 @cache
 def _float_loop(kernel: str, scalar: bool) -> Callable:
-    """``bind(label, positive, kind, floats, on_arrays, **bound)``, which
+    """``bind(label, positive, floats, on_arrays, **bound)``, which
     gives a map's ``update`` with its block loop ``update.advance``:
     ``_LOOP`` around ``_STEP`` for Python-float states (``scalar``) or
     tuples of them, with the float kernel ``kernel``. "call" calls the
@@ -300,8 +292,8 @@ def _float_loop(kernel: str, scalar: bool) -> Callable:
     else:
         names, text = "float_step", "x1 = float_step(x, h)"
     step = _fill(_STEP, low="x" if scalar else "min(x)", kernel=text)
-    each = step if scalar else _fill(_TUPLE_STEP, step=step)
-    source = _fill(_LOOP, names=names, step=step, each=each)
+    form = "state if type(state) is float else None" if scalar else "floats(state)"
+    source = _fill(_LOOP, names=names, form=form, step=step)
     state = "float" if scalar else "tuple"
     return _compiled(source, f"<nsfd.schemes {state} loop, kernel={kernel}>", "bind", scope)
 
@@ -366,10 +358,9 @@ def nsfd_step_map(
         return weighted_step_array(y, np.asarray(f(y), dtype=float), ph,
                                    np.asarray(f_plus(y), dtype=float), fm, alpha, beta)
 
-    return _checked(config.label or "nsfd", on_arrays, True, float, lambda state: None,
-                    partial(np.asarray, dtype=float), "weighted", f=f, df=df, f_plus=f_plus,
-                    f_minus=f_minus, spec=spec, shared=shared, rate_beta=rate_beta, alpha=alpha,
-                    beta=beta)
+    return _checked(config.label or "nsfd", on_arrays, True, None, partial(np.asarray, dtype=float),
+                    "weighted", f=f, df=df, f_plus=f_plus, f_minus=f_minus, spec=spec,
+                    shared=shared, rate_beta=rate_beta, alpha=alpha, beta=beta)
 
 
 def euler_map(problem: ScalarProblem) -> StepMap:
@@ -525,7 +516,10 @@ def rk4(F: Callable, y0: tuple, t_end: float, n: int) -> tuple:
 
     The loop is ``_rk4_loop(len(y0))``, written out per component; an F
     that returns a different number of components fails to unpack, and
-    the ValueError names the expected count."""
+    the ValueError names the expected count. An n below 1 raises
+    ValueError."""
+    if n < 1:
+        raise ValueError(f"rk4 needs n >= 1 substeps, got {n}")
     return _rk4_loop(len(y0))(F, y0, t_end, n)
 
 

@@ -47,14 +47,18 @@ of ``schemes.checked_map`` (components >= 0, -inf included). A tuple of
 Python floats with a Python-float h takes the float path, one pass over the
 components with the rate of ``second_order_rates`` and the clamp written as
 two comparisons (nan passes, signed zeros keep their sign, as with the
-array path's maximum and minimum); an array of shape (dim,) goes there as a
-tuple and comes back as an array. The array path hands the models the
-component lanes of a (..., dim) state and runs the rates, kernel and
-weighted step on the (dim, ...) stack of their values. Both paths agree bit
+array path's maximum and minimum), returning a tuple of Python floats; an
+array of shape (dim,) goes there as a tuple and comes back as an array. The
+array path hands the models the component lanes of a (..., dim) state and
+runs the rates, kernel and weighted step on the (dim, ...) stack of their
+values. Both paths agree bit
 for bit, except that the sign of a float-path nan is not reproducible, so
 bit comparisons treat any nan as nan. A state without ``dim`` components,
 or a tuple that is not one state (a tuple of lane arrays), raises
-``DimensionMismatch``, naming the (n, dim) layout of a batch.
+``DimensionMismatch``, naming the (n, dim) layout of a batch; so does a
+config without ``dim`` weights, when the map is bound, and, in the step
+that calls them, a model whose F, f_plus, f_minus or J.v returns another
+number of components than ``dim``, on either path, naming the counts.
 """
 
 from __future__ import annotations
@@ -157,6 +161,13 @@ def _dimension_mismatch(sys: SystemProblem, shape: tuple) -> DimensionMismatch:
                              f"(a batch of n states is an (n, {sys.dim}) array)")
 
 
+def _miscounted(sys: SystemProblem, outputs: tuple) -> DimensionMismatch:
+    names = ", ".join(("F", "f_plus", "f_minus", "J.v")[:len(outputs)])
+    counts = ", ".join(str(len(v)) for v in outputs)
+    return DimensionMismatch(f"{sys.name} has dim = {sys.dim}, but the model's {names} "
+                             f"returned {counts} components")
+
+
 def _states(sys: SystemProblem, state) -> np.ndarray:
     """``state`` as a float array of states along its last axis; a tuple must
     be one state (a tuple of lane arrays is not read as rows of lanes)."""
@@ -170,14 +181,18 @@ def system_step_map(sys: SystemProblem, cfg: SystemSchemeConfig) -> StepMap:
     """The componentwise scheme as a step map, bound once: the model
     callables, the (alpha_i, beta_i) pairs and the order flag.
 
-    ``update(state, h)`` needs ``sys.dim`` components along the state's last
-    axis (DimensionMismatch), components >= 0 (NegativeState) and h finite
-    and > 0 (NonPositiveStep). Components with F_i = 0 are returned exactly.
-    A batch of shape (..., dim) takes one step size or one per state (``h``
-    of shape (...,), broadcast over the lane axes only).
+    ``cfg`` needs ``sys.dim`` weights (DimensionMismatch). ``update(state,
+    h)`` needs ``sys.dim`` components along the state's last axis and in
+    every model value (DimensionMismatch), components >= 0 (NegativeState)
+    and h finite and > 0 (NonPositiveStep). Components with F_i = 0 are
+    returned exactly. A batch of shape (..., dim) takes one step size or one
+    per state (``h`` of shape (...,), broadcast over the lane axes only).
     """
     F, f_plus, f_minus, jvp = sys.F, sys.rep.f_plus, sys.rep.f_minus, sys.jacobian
     dim, second_order = sys.dim, cfg.second_order
+    if len(cfg.alphas) != dim:
+        raise DimensionMismatch(f"{sys.name} has dim = {dim}: got a config of "
+                                f"{len(cfg.alphas)} weights")
     pairs = tuple(zip(cfg.alphas, cfg.betas))
     alphas, betas = np.array(cfg.alphas), np.array(cfg.betas)
     eps, clamp = NEAR_EQUILIBRIUM_EPS, KERNEL_ARG_CLAMP
@@ -196,6 +211,8 @@ def system_step_map(sys: SystemProblem, cfg: SystemSchemeConfig) -> StepMap:
     def on_floats(x, h):
         Fx, fp, fm = F(x), f_plus(x), f_minus(x)
         jf = jvp(x, Fx) if second_order else Fx
+        if not len(Fx) == len(fp) == len(fm) == len(jf) == dim:
+            raise _miscounted(sys, (Fx, fp, fm, jf) if second_order else (Fx, fp, fm))
         out = []
         for x_i, F_i, fp_i, fm_i, jf_i, (a, b) in zip(x, Fx, fp, fm, jf, pairs):
             arg = 0.0
@@ -205,7 +222,7 @@ def system_step_map(sys: SystemProblem, cfg: SystemSchemeConfig) -> StepMap:
                     arg = clamp
                 elif arg < -clamp:
                     arg = -clamp
-            out.append(weighted_step(x_i, F_i, h * phim(arg), fp_i, fm_i, a, b))
+            out.append(float(weighted_step(x_i, F_i, h * phim(arg), fp_i, fm_i, a, b)))
         return tuple(out)
 
     def on_arrays(s, h):
@@ -217,7 +234,9 @@ def system_step_map(sys: SystemProblem, cfg: SystemSchemeConfig) -> StepMap:
         x = np.moveaxis(s, -1, 0)  # (dim,) + lanes; x[i] is component i's lanes
         parts = tuple(x)
         Fx, fp, fm = F(parts), f_plus(parts), f_minus(parts)
-        jf = jvp(parts, Fx) if second_order else None
+        jf = jvp(parts, Fx) if second_order else Fx
+        if not len(Fx) == len(fp) == len(fm) == len(jf) == dim:
+            raise _miscounted(sys, (Fx, fp, fm, jf) if second_order else (Fx, fp, fm))
         Fv, fp, fm = _stacked(Fx, lanes), _stacked(fp, lanes), _stacked(fm, lanes)
         column = (dim,) + (1,) * len(lanes)  # a weight along the lanes
         lam = second_order_rates(Fv, _stacked(jf, lanes), fm, betas) if second_order else 0.0
@@ -227,7 +246,7 @@ def system_step_map(sys: SystemProblem, cfg: SystemSchemeConfig) -> StepMap:
                                                betas.reshape(column)), 0, -1)
 
     return checked_map(cfg.label or "system-nsfd", on_floats, on_arrays, positive=True,
-                       kind=None, floats=float_state, lanes=lambda state: _states(sys, state))
+                       floats=float_state, lanes=lambda state: _states(sys, state))
 
 
 def integrate_system(

@@ -9,6 +9,7 @@ import pytest
 
 from nsfd.cli import main
 from nsfd.denominator import derived_denominator
+from nsfd.errata import errata_report
 from nsfd.model import SchemeConfig
 from nsfd.problems import SchemeBundle, get_scheme
 from nsfd.schemes import nsfd_step_map
@@ -543,6 +544,10 @@ class TestErrataCommand:
         assert "(e^{2h} - 1)/2" in text
         assert hashlib.sha256(out.read_bytes()).hexdigest() == ERRATA_SHA256
 
+    def test_prints_report_without_out(self, capsys):
+        assert main(["errata"]) == 0
+        assert capsys.readouterr().out == errata_report() + "\n"
+
 
 class TestConfigFile:
     def test_config_supplies_required_flags(self, tmp_path):
@@ -595,6 +600,15 @@ class TestConfigValuesParsedLikeFlags:
         cfg.write_text(f"full={value}\nout={tmp_path / 't2.csv'}\n")
         assert main(["--config", str(cfg), "table2"]) == 0
         assert seen == [full]
+
+    def test_on_off_flag_refuses_other_values(self, tmp_path, capsys):
+        cfg, out = tmp_path / "t2.cfg", tmp_path / "t2.csv"
+        cfg.write_text(f"full=maybe\nout={out}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "table2"])
+        assert exc.value.code == 2
+        assert f"{cfg}: full takes true or false, got 'maybe'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_positivity_failure_forces_nonzero_exit(monkeypatch):

@@ -10,7 +10,7 @@ from nsfd.model import (
     classify_equilibria,
     register_problem,
 )
-from nsfd.problems import get_problem, problem_names
+from nsfd.problems import get_problem, get_scheme, problem_names
 
 
 def test_logistic_accepted():
@@ -43,6 +43,22 @@ def test_wrong_derivative_rejected():
     )
     with pytest.raises(DerivativeMismatch):
         register_problem(spec)
+
+
+def test_empty_domain_rejected():
+    spec = ScalarProblem(
+        name="point", f=lambda y: 2.0 * y - y * y, df=lambda y: 2.0 - 2.0 * y,
+        domain_hint=(1.0, 1.0),
+    )
+    with pytest.raises(ValueError, match=r"point: empty domain_hint \(1.0, 1.0\)"):
+        register_problem(spec)
+
+
+def test_unknown_names_list_the_choices():
+    with pytest.raises(KeyError, match="unknown problem 'nope'; choose from .*'logistic'"):
+        get_problem("nope")
+    with pytest.raises(KeyError, match="unknown scheme 'nope' for 'logistic'; choose from .*'wood'"):
+        get_scheme("logistic", "nope")
 
 
 def test_registration_idempotent():

@@ -589,6 +589,11 @@ class TestIntegrate:
 
 
 class TestReferenceSolution:
+    @pytest.mark.parametrize("substeps", [0, -5])
+    def test_substeps_below_one_are_refused(self, substeps):
+        with pytest.raises(ValueError, match=f"n >= 1 substeps, got {substeps}"):
+            reference_solution(get_problem("sine"), 0.5, 0.5, 1.0, substeps=substeps)
+
     def test_self_check_against_exact(self):
         p = get_problem("logistic")
         traj = reference_solution(p, 0.5, h_out=0.1, t_end=1.0)

@@ -193,6 +193,82 @@ class TestDimensionMismatch:
             reference_system_solution(lv, state, h_out=0.5, t_end=1.0, substeps=10)
 
 
+def _miscounted(system, field, fewer):
+    """``system`` with its model callable ``field`` returning its last
+    component dropped (``fewer``) or one component too many."""
+
+    def wrap(fn):
+        def out(*args):
+            values = tuple(fn(*args))
+            return values[:-1] if fewer else values + (0.0,)
+        return out
+
+    if field in ("F", "jacobian"):
+        return replace(system, **{field: wrap(getattr(system, field))})
+    return replace(system, rep=replace(system.rep, **{field: wrap(getattr(system.rep, field))}))
+
+
+class TestModelOutputCounts:
+    """A model callable with the wrong number of components is refused in
+    the step that calls it, on every path, before any component is used."""
+
+    @pytest.mark.parametrize("name", ["lv", "sirs"])
+    @pytest.mark.parametrize("field, order2", [
+        ("F", False), ("f_plus", False), ("f_plus", True), ("f_minus", False),
+        ("f_minus", True), ("jacobian", True),
+    ])
+    @pytest.mark.parametrize("fewer", [True, False])
+    def test_every_path_names_the_counts(self, name, field, order2, fewer):
+        base = get_system(name)
+        system = _miscounted(base, field, fewer)
+        cfg = _config(system, order2)
+        update = system_step_map(system, cfg).update
+        start = DEFAULT_STARTS[name]
+        counts = [base.dim] * (4 if order2 else 3)
+        counts[["F", "f_plus", "f_minus", "jacobian"].index(field)] += -1 if fewer else 1
+        message = (rf"{name} has dim = {base.dim}, but the model's F, f_plus, f_minus"
+                   rf"{', J.v' if order2 else ''} returned {', '.join(map(str, counts))} ")
+        runs = {
+            "tuple update": lambda: update(start, 0.1),
+            "(dim,) array update": lambda: update(np.array(start), 0.1),
+            "tuple fold": lambda: integrate_system(system, cfg, start, 0.1, 1.0),
+            "lane step": lambda: update(np.array([start, start]), 0.1),
+        }
+        for run in runs.values():
+            with pytest.raises(DimensionMismatch, match=message):
+                run()
+
+    @pytest.mark.parametrize("name", ["lv", "sirs"])
+    @pytest.mark.parametrize("order2", [True, False])
+    def test_numpy_scalar_outputs_fold_on_python_floats(self, name, order2):
+        # a model whose components are numpy float64: the fold stays on the
+        # float path (the models see Python floats) and stores Python floats,
+        # with the bits of the same model on Python floats; a (dim,) array
+        # takes the float path too
+        base = get_system(name)
+        seen = set()
+
+        def as_numpy(fn):
+            def out(s, *rest):
+                seen.add(type(s[0]))
+                return tuple(np.float64(v) for v in fn(s, *rest))
+            return out
+
+        system = replace(base, F=as_numpy(base.F), jacobian=as_numpy(base.jacobian),
+                         rep=Representation(f_plus=as_numpy(base.rep.f_plus),
+                                            f_minus=as_numpy(base.rep.f_minus)))
+        rows: list = []
+        step = system_step_map(system, _config(system, order2)).update
+        step.advance(DEFAULT_STARTS[name], 0.1, 200, rows.append)
+        assert seen == {float}
+        assert all(type(row) is tuple and all(type(v) is float for v in row) for row in rows)
+        expected = integrate_system(base, _config(base, order2), DEFAULT_STARTS[name], 0.1, 20.0)
+        assert _bits(rows) == _bits(expected.states[1:])
+        out = step(np.array(DEFAULT_STARTS[name]), 0.1)
+        assert seen == {float} and isinstance(out, np.ndarray)
+        assert _bits(out) == _bits(rows[0])
+
+
 def _bits(state) -> list[str]:
     return [float(v).hex() for v in np.asarray(state, dtype=float).ravel()]
 
@@ -471,6 +547,11 @@ class TestTupleState:
 
 
 class TestReferenceSystemSolution:
+    @pytest.mark.parametrize("substeps", [0, -5])
+    def test_substeps_below_one_are_refused(self, substeps):
+        with pytest.raises(ValueError, match=f"n >= 1 substeps, got {substeps}"):
+            reference_system_solution(get_system("lv"), (2.0, 0.5), 0.5, 1.0, substeps=substeps)
+
     @pytest.mark.parametrize("name, bits", [
         ("lv", ["0x1.35c502666f2e9p-2", "0x1.0fe0e0627556ap+0"]),
         ("sirs", ["0x1.05e841214c348p-1", "0x1.4507e30b03144p-2", "0x1.5e4f3564c8f69p-3"]),
@@ -550,6 +631,18 @@ class TestConfigs:
             SystemSchemeConfig(alphas=(0.5,), betas=(0.5,))
         with pytest.raises(ValueError):
             SystemSchemeConfig(alphas=(0.0, 0.0), betas=(1.0,))
+
+    @pytest.mark.parametrize("name", ["lv", "sirs"])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_config_with_the_wrong_number_of_weights(self, name, extra):
+        system = get_system(name)
+        weights = system.dim + extra
+        cfg = SystemSchemeConfig(alphas=(0.0,) * weights, betas=(1.0,) * weights)
+        message = f"{name} has dim = {system.dim}: got a config of {weights} weights"
+        with pytest.raises(DimensionMismatch, match=message):
+            system_step_map(system, cfg)
+        with pytest.raises(DimensionMismatch, match=message):
+            integrate_system(system, cfg, DEFAULT_STARTS[name], 0.1, 1.0)
 
     def test_jacobian_missing(self):
         lv = get_system("lv")
@@ -849,6 +942,12 @@ class TestIntegrateSystem:
         assert coarse.final_state[1] < 0.1 < s.equilibria[0][1]
         fine = integrate_system(s, cfg, DEFAULT_STARTS["sirs"], 0.1, 2000.0)
         assert np.max(np.abs(conserved_series(s, fine) - 1.0)) < 1e-4
+
+    def test_conserved_series_without_a_diagnostic(self):
+        lv = get_system("lv")
+        bare = replace(lv, conserved=None)
+        traj = integrate_system(bare, plain_config(bare), DEFAULT_STARTS["lv"], 0.1, 1.0)
+        assert conserved_series(bare, traj) is None
 
     def test_lv_conserved_diagnostic_available(self):
         lv = get_system("lv")
